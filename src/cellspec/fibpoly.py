@@ -13,13 +13,17 @@ obtained from f_i by exact division.  For i > 2 the roots of fbar_i are
 4*cos^2(pi*j/i) for j coprime to i, all in the open interval (0, 4), and the
 largest root increases strictly with i, approaching 4.
 
-Everything here is exact: coefficients are Python ints, root counting is done
-with Sturm sequences over Fraction, and no floats appear anywhere.
+Everything here is exact: coefficients are Python ints and no floats appear
+anywhere.  Root counting uses Sturm chains of primitive integer polynomials,
+built once per polynomial and cached by coefficient tuple; the sign of a
+chain member at a rational point n/q is decided in integers, and bisection
+endpoints are Fractions.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -416,10 +420,22 @@ def squarefree_part(p: IntPolynomial) -> IntPolynomial:
     return p.primitive_part().exact_div(g)
 
 
+# Distinct polynomials whose Sturm chains are kept.  A pass over the
+# Fibonacci factors or the 0-1 classification touches a few hundred at most.
+_STURM_CACHE_SIZE = 1024
+
+
 def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
     """Sturm chain of the squarefree part of p, rescaled to primitive integer
-    polynomials (positive rescaling only, so sign variations are preserved)."""
-    p0 = squarefree_part(p)
+    polynomials (positive rescaling only, so sign variations are preserved).
+
+    Chains are cached by coefficient tuple; each call returns a new list."""
+    return list(_sturm_chain(p.coeffs))
+
+
+@functools.lru_cache(maxsize=_STURM_CACHE_SIZE)
+def _sturm_chain(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
+    p0 = squarefree_part(IntPolynomial(coeffs))
     chain = [p0]
     if p0.degree >= 1:
         chain.append(p0.derivative().primitive_part())
@@ -430,7 +446,7 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
             if not any(rem):
                 break
             chain.append(-_frac_to_primitive(rem))
-    return chain
+    return tuple(chain)
 
 
 def _variations(signs) -> int:
@@ -438,9 +454,18 @@ def _variations(signs) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sign_at(p: IntPolynomial, x: Fraction) -> int:
-    v = p(x)
-    return (v > 0) - (v < 0)
+def _sign_at(p: IntPolynomial, x) -> int:
+    """Sign of p at the rational x = n/q (an int or Fraction, so q > 0).
+
+    The homogeneous Horner sum is q^d * p(n/q) with d = deg p, and q^d > 0,
+    so its sign is the answer; only ints are involved."""
+    n, q = x.numerator, x.denominator
+    acc = 0
+    q_power = 1
+    for c in reversed(p.coeffs):
+        acc = acc * n + c * q_power
+        q_power *= q
+    return (acc > 0) - (acc < 0)
 
 
 def _sign_at_inf(p: IntPolynomial, positive: bool) -> int:
@@ -449,6 +474,11 @@ def _sign_at_inf(p: IntPolynomial, positive: bool) -> int:
     if not positive and p.degree % 2 == 1:
         s = -s
     return s
+
+
+def _variations_at(chain, x) -> int:
+    """Sign variations of a Sturm chain at the rational x."""
+    return _variations([_sign_at(q, x) for q in chain])
 
 
 def count_roots_in(p: IntPolynomial, lo=None, hi=None) -> int:
@@ -464,13 +494,11 @@ def count_roots_in(p: IntPolynomial, lo=None, hi=None) -> int:
     if lo is None:
         v_lo = _variations([_sign_at_inf(q, positive=False) for q in chain])
     else:
-        lo = Fraction(lo)
-        v_lo = _variations([_sign_at(q, lo) for q in chain])
+        v_lo = _variations_at(chain, Fraction(lo))
     if hi is None:
         v_hi = _variations([_sign_at_inf(q, positive=True) for q in chain])
     else:
-        hi = Fraction(hi)
-        v_hi = _variations([_sign_at(q, hi) for q in chain])
+        v_hi = _variations_at(chain, Fraction(hi))
     return v_lo - v_hi
 
 
@@ -487,33 +515,54 @@ def root_bound(p: IntPolynomial) -> Fraction:
     return 1 + Fraction(biggest, lc)
 
 
+class _MaxRootBisection:
+    """Bisection of (-B, B], B = root_bound(p), towards the largest real root
+    of p.  The bracket (a, b] always holds that root, so no root lies above b
+    and the chain's variation count at b stays what it was at B: each step
+    evaluates the chain only at the midpoint.  Refining to a smaller width
+    continues from the current bracket, which takes the same midpoints as
+    starting again from the root bound."""
+
+    def __init__(self, p: IntPolynomial):
+        if count_real_roots(p) == 0:
+            raise ValueError("polynomial has no real root")
+        self.chain = sturm_chain(p)
+        self.b = root_bound(p)
+        self.a = -self.b
+        self.v_b = _variations_at(self.chain, self.b)
+
+    def refine(self, width: Fraction) -> tuple[Fraction, Fraction]:
+        while self.b - self.a > width:
+            mid = (self.a + self.b) / 2
+            if _variations_at(self.chain, mid) > self.v_b:  # a root in (mid, b]
+                self.a = mid
+            else:
+                self.b = mid
+        return self.a, self.b
+
+
 def max_root_bracket(p: IntPolynomial, width: Fraction) -> tuple[Fraction, Fraction]:
     """An interval (a, b] of length <= width containing exactly the largest
-    real root of p.  Requires p to have at least one real root."""
-    if count_real_roots(p) == 0:
-        raise ValueError("polynomial has no real root")
-    b = root_bound(p)
-    a = -b
-    while b - a > width:
-        mid = (a + b) / 2
-        if count_roots_in(p, mid, b) >= 1:
-            a = mid
-        else:
-            b = mid
-    return a, b
+    real root of p.  Requires p to have at least one real root and width to
+    be a positive finite number."""
+    if not 0 < width < math.inf:
+        raise ValueError(f"width must be positive and finite, got {width!r}")
+    return _MaxRootBisection(p).refine(Fraction(width))
 
 
 def max_root_strictly_less(p: IntPolynomial, q: IntPolynomial) -> bool:
     """Exact comparison: is the largest real root of p strictly below q's?
 
-    Refines Sturm bisection brackets for both maximal roots until the
-    brackets separate.  Raises if the brackets cannot be separated (which
-    would mean the maximal roots coincide).
+    Refines Sturm bisection brackets for both maximal roots, a quarter of the
+    width at a time, until the brackets separate.  Raises if the brackets
+    cannot be separated (which would mean the maximal roots coincide).
     """
+    p_bisection = _MaxRootBisection(p)
+    q_bisection = _MaxRootBisection(q)
     width = Fraction(1)
     for _ in range(220):
-        ap, bp = max_root_bracket(p, width)
-        aq, bq = max_root_bracket(q, width)
+        ap, bp = p_bisection.refine(width)
+        aq, bq = q_bisection.refine(width)
         if bp <= aq:
             return True
         if bq <= ap:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .fibpoly import IntPolynomial, count_roots_in, squarefree_part
+from .fibpoly import IntPolynomial, _sign_at, count_roots_in, squarefree_part
 
 
 @dataclass(frozen=True)
@@ -220,18 +220,22 @@ def spectrum_in_range(m: IntMatrix, lo, hi) -> bool:
     """Exact test that every eigenvalue of the symmetric matrix m lies in
     [lo, hi).  lo and hi may be ints or Fractions.
     """
-    p = minpoly_symmetric(m)
+    if not m.is_symmetric():
+        raise ValueError("matrix is not symmetric")
+    # The characteristic polynomial has the roots of the minimal one, and the
+    # Sturm chain is built from their common squarefree part.
+    p = charpoly(m)
     if p.degree <= 0:
         raise ValueError("degenerate minimal polynomial")
     lo = Fraction(lo)
     hi = Fraction(hi)
     # roots strictly below lo: count in (-inf, lo] minus a root exactly at lo
     below = count_roots_in(p, None, lo)
-    if p(lo) == 0:
+    if _sign_at(p, lo) == 0:
         below -= 1
     if below > 0:
         return False
-    if p(hi) == 0:
+    if _sign_at(p, hi) == 0:
         return False
     return count_roots_in(p, hi, None) == 0
 

@@ -239,3 +239,51 @@ def equivalent_by_all_permutations(a, b) -> bool:
         for cp in permutations(range(b.n_cols)):
             target.add(tuple(tuple(row[j] for j in cp) for row in rows))
     return a.rows in target
+
+
+def max_root_bracket_by_bisection(p: IntPolynomial, width: Fraction):
+    """Reference for fibpoly.max_root_bracket on a squarefree p.
+
+    Bisects (-B, B], with the Cauchy bound B = 1 + max|c_i| / |c_d|, keeping
+    the upper half whenever it holds a root, until the bracket is at most
+    width wide.  Root counts come from the classical Sturm sequence of p
+    with Fraction coefficients (negated remainders, no rescaling), evaluated
+    in Fraction at both ends of the upper half at every step."""
+    seq = [
+        [Fraction(c) for c in p.coeffs],
+        [Fraction(i * c) for i, c in enumerate(p.coeffs) if i],
+    ]
+    while len(seq[-1]) > 1:
+        rem = list(seq[-2])
+        divisor = seq[-1]
+        while len(rem) >= len(divisor):
+            factor = rem[-1] / divisor[-1]
+            shift = len(rem) - len(divisor)
+            for j, c in enumerate(divisor):
+                rem[j + shift] -= factor * c
+            rem.pop()
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if not rem:
+            break
+        seq.append([-c for c in rem])
+
+    def variations(x):
+        signs = []
+        for poly in seq:
+            value = Fraction(0)
+            for c in reversed(poly):
+                value = value * x + c
+            if value:
+                signs.append(value > 0)
+        return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+    bound = 1 + Fraction(max(abs(c) for c in p.coeffs[:-1]), abs(p.coeffs[-1]))
+    a, b = -bound, bound
+    while b - a > width:
+        mid = (a + b) / 2
+        if variations(mid) - variations(b) >= 1:
+            a = mid
+        else:
+            b = mid
+    return a, b

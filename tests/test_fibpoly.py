@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellspec.fibpoly as fibpoly_module
 from cellspec.fibpoly import (
@@ -23,7 +25,7 @@ from cellspec.fibpoly import (
     sturm_chain,
 )
 from frozen import F_TABLE, FBAR_TABLE
-from oracles import totient
+from oracles import max_root_bracket_by_bisection, totient
 
 
 def test_doctests():
@@ -180,11 +182,59 @@ class TestSturm:
             assert count_roots_in(p, lo, hi) == expected, (roots, lo, hi)
             assert count_real_roots(p) == len(set(roots))
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_rational_roots_at_rational_endpoints(self, data):
+        # Products of (b*x - a), some factors repeated, so roots are rational
+        # and the chain starts from a non-trivial squarefree part.  Endpoints
+        # have odd denominators, sit exactly on roots, or are None.
+        x = IntPolynomial.x()
+        factors = data.draw(
+            st.lists(
+                st.tuples(st.integers(-12, 12), st.integers(1, 4), st.integers(1, 3)),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        p = IntPolynomial.one()
+        for a, b, power in factors:
+            for _ in range(power):
+                p = p * (b * x - a)
+        odd_fraction = st.builds(
+            Fraction, st.integers(-60, 60), st.sampled_from([1, 3, 5, 7, 9, 15, 21])
+        )
+        endpoint = st.one_of(
+            st.none(), odd_fraction, st.sampled_from([Fraction(a, b) for a, b, _ in factors])
+        )
+        lo, hi = data.draw(endpoint), data.draw(endpoint)
+        if lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        t = sympy.symbols("t")
+        roots = set(sympy.real_roots(sympy.Poly(list(reversed(p.coeffs)), t)))
+        expected = sum(
+            1
+            for r in roots
+            if (lo is None or r > sympy.Rational(lo.numerator, lo.denominator))
+            and (hi is None or r <= sympy.Rational(hi.numerator, hi.denominator))
+        )
+        assert count_roots_in(p, lo, hi) == expected, (factors, lo, hi)
+
     def test_chain_shape(self):
         chain = sturm_chain(fib_f(9))
         assert chain[0] == fib_f(9)
         degrees = [q.degree for q in chain]
         assert degrees == sorted(degrees, reverse=True)
+
+    def test_cached_chain_is_not_aliased(self):
+        p = fib_f(9)
+        ranges = [(None, None), (0, 4), (Fraction(1, 3), Fraction(7, 3)), (2, None)]
+        chain = sturm_chain(p)
+        original = list(chain)
+        counts = [count_roots_in(p, lo, hi) for lo, hi in ranges]
+        chain.append(IntPolynomial.one())
+        chain[0] = IntPolynomial.x()
+        assert sturm_chain(p) == original
+        assert [count_roots_in(p, lo, hi) for lo, hi in ranges] == counts
 
     def test_max_root_bracket(self):
         x = IntPolynomial.x()
@@ -193,6 +243,17 @@ class TestSturm:
         assert lo < 4 <= hi and hi - lo <= Fraction(1, 1000)
         with pytest.raises(ValueError):
             max_root_bracket(IntPolynomial((1, 0, 1)), Fraction(1, 2))
+
+    @pytest.mark.parametrize("width", [0, Fraction(-1, 8), -1.0, float("nan"), float("inf")])
+    def test_max_root_bracket_rejects_bad_width(self, width):
+        with pytest.raises(ValueError, match="width"):
+            max_root_bracket(fib_irreducible_factor(7), width)
+
+    @pytest.mark.parametrize("width", [Fraction(1, 10**8), Fraction(1, 10**12)])
+    def test_brackets_match_plain_bisection(self, width):
+        for i in range(3, 31):
+            p = fib_irreducible_factor(i)
+            assert max_root_bracket(p, width) == max_root_bracket_by_bisection(p, width), i
 
     def test_max_root_bracket_with_repeated_interior_root(self):
         # A double root below the top root must not derail the bracketing.

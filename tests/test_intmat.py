@@ -1,5 +1,6 @@
 import doctest
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -103,6 +104,14 @@ class TestSpectrum:
             IntMatrix.from_rows([[2, 2], [2, 2]]), 0, 4
         )  # eigenvalues 0 and 4
         assert spectrum_in_range(IntMatrix.from_rows([[2, 1], [1, 2]]), 0, 4)
+
+    def test_repeated_eigenvalue_at_rational_bounds(self):
+        d = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 3]])  # 1, 1, 3
+        assert spectrum_in_range(d, 1, Fraction(7, 2))
+        assert not spectrum_in_range(d, Fraction(4, 3), 4)
+        assert not spectrum_in_range(d, Fraction(1, 3), 3)
+        with pytest.raises(ValueError):
+            spectrum_in_range(IntMatrix.from_rows([[1, 2], [3, 4]]), 0, 4)
 
     def test_matches_numpy_on_random_symmetric(self):
         rng = random.Random(4242)
