@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .intmat import IntMatrix, is_irreducible_nonneg, pf_vector
+from .intmat import IntMatrix, is_irreducible_nonneg, pf_vector, reachable
 
 Gamma = tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -79,8 +79,11 @@ class BasedAlgebra:
                 if self.gamma[j][e][k] != int(j == k):
                     raise ValueError("identity fails on the right")
         # associativity via left multiplication operators:
-        # L_i L_j must equal sum_k gamma[i][j][k] L_k
-        # (entries stay far below the int64 range for the sizes in scope)
+        # L_i L_j must equal sum_k gamma[i][j][k] L_k; no value on either side,
+        # partial sums included, exceeds n * max(gamma)^2 (constants are >= 0)
+        top = max(c for plane in self.gamma for row in plane for c in row)
+        if n * top * top >= 2 ** 63:
+            raise ValueError("associativity check would overflow int64")
         lefts = np.array(
             [self.left_multiplication(i).to_numpy(dtype=np.int64) for i in range(n)]
         )
@@ -118,17 +121,7 @@ class BasedAlgebra:
             raise ValueError("side must be 'left', 'right' or 'two_sided'")
         n = self.dimension
         succ = self._one_step(side)
-        reach = [set(s) | {j} for j, s in enumerate(succ)]
-        changed = True
-        while changed:
-            changed = False
-            for j in range(n):
-                extra = set()
-                for s in reach[j]:
-                    extra |= reach[s]
-                if not extra <= reach[j]:
-                    reach[j] |= extra
-                    changed = True
+        reach = [set(reachable(succ, j)) for j in range(n)]
         assigned = [None] * n
         cells: list[tuple[int, ...]] = []
         for j in range(n):
@@ -209,6 +202,12 @@ class BasedModule:
                         raise ValueError("negative entry in an action matrix")
         if self.actions[self.algebra.identity] != IntMatrix.identity(d):
             raise ValueError("identity must act as the identity matrix")
+        # A_i A_j must equal sum_k gamma[i][j][k] A_k; the two sides stay
+        # below d * max(A)^2 and n * max(gamma) * max(A)
+        top_a = max((c for m in self.actions for row in m.rows for c in row), default=0)
+        top_g = max(c for plane in self.algebra.gamma for row in plane for c in row)
+        if max(d * top_a, n * top_g) * top_a >= 2 ** 63:
+            raise ValueError("module law check would overflow int64")
         acts = np.array([m.to_numpy(dtype=np.int64) for m in self.actions])
         g = np.array(self.algebra.gamma, dtype=np.int64)
         for i in range(n):

@@ -34,10 +34,21 @@ from .intmat import IntMatrix, charpoly, minpoly_symmetric, pf_vector
 from .quiver import NotSimplyLacedDynkinError, ZigzagAlgebra
 from .staircase import (
     brute_force_under4,
+    canonical_form,
     classify_under4,
     generators_for_shape,
     gram_spectrum_below_4,
 )
+
+
+def _check_json_ints(data, what: str) -> None:
+    """Raise ValueError unless every entry of the nested JSON lists is an
+    integer; floats, strings and booleans are refused, never truncated."""
+    if isinstance(data, list):
+        for item in data:
+            _check_json_ints(item, what)
+    elif isinstance(data, bool) or not isinstance(data, int):
+        raise ValueError(f"{what} entry {json.dumps(data)} is not an integer")
 
 
 def _matrix_from_text(text: str) -> IntMatrix:
@@ -46,6 +57,7 @@ def _matrix_from_text(text: str) -> IntMatrix:
         data = data["entries"]
     if not isinstance(data, list) or not data:
         raise ValueError("matrix must be a non-empty list of rows")
+    _check_json_ints(data, "matrix")
     return IntMatrix.from_rows(data)
 
 
@@ -218,7 +230,7 @@ def _cmd_oracle_under4(args) -> int:
         prefilter=not args.no_prefilter,
     )
     expected = {
-        tuple(map(tuple, _canon(mc.matrix).rows))
+        tuple(map(tuple, canonical_form(mc.matrix).rows))
         for mc in generators_for_shape(args.rows, args.cols)
     }
     found = {m.rows for m in classes}
@@ -247,12 +259,6 @@ def _cmd_oracle_under4(args) -> int:
     )
     _emit(args, report, lines)
     return 0
-
-
-def _canon(m: IntMatrix) -> IntMatrix:
-    from .staircase import canonical_form
-
-    return canonical_form(m)
 
 
 def _cmd_enumerate_b(args) -> int:
@@ -421,6 +427,8 @@ def _cmd_cells_of_algebra(args) -> int:
         labels = data.get("labels") or [
             str(i) for i in range(len(data["gamma"]))
         ]
+        _check_json_ints(data["gamma"], "gamma")
+        _check_json_ints(data.get("identity", 0), "identity")
         algebra = BasedAlgebra.make(
             labels, data["gamma"], identity=data.get("identity", 0)
         )
@@ -569,6 +577,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "fibpoly" and args.i is None and args.upto is None:
         parser.error("fibpoly needs --i or --upto")
+    if args.command == "fibpoly" and args.upto is not None and args.upto < 0:
+        parser.error("fibpoly --upto must be non-negative")
+    if args.command == "cells" and args.max_length is not None and args.max_length < 0:
+        parser.error("cells --max-length must be non-negative")
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:

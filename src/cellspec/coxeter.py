@@ -7,9 +7,11 @@ if no word in its braid-move orbit contains an adjacent repeated letter.
 
 The set J of elements admitting exactly one reduced expression is enumerated
 by extending words on the right; this is complete because every prefix of a
-unique-reduced-expression element again has a unique reduced expression.
-Left and right cells of J are read off the last and first letters, and the
-cell table collects the intersections into boxes.
+unique-reduced-expression element again has a unique reduced expression, and
+each step is decided by a one-step rule that the rewriting theorem implies
+(see _extends_J), without building braid orbits.  Left and right cells of J
+are read off the last and first letters, and the cell table collects the
+intersections into boxes.
 """
 
 from __future__ import annotations
@@ -200,49 +202,54 @@ def has_unique_reduced_expression(system: CoxeterSystem, word: Word) -> bool:
     return len(orbit) == 1
 
 
+def _extends_J(system: CoxeterSystem, word: Word, g: int) -> bool:
+    """Whether word + (g,) lies in J, given that word lies in J (or is empty).
+
+    Let s be the last letter of word.  A braid move on word + (g,) that
+    stayed inside word would give word a second reduced expression, so every
+    braid move must use the new letter, and its segment alternates s and g.
+    Such a move exists exactly when the alternating s, g suffix ending in g
+    has length at least m(s, g).  Without one, the braid orbit of
+    word + (g,) is the word alone; for g != s that word has no repeated
+    adjacent letter, so by the word theorem it is reduced and is its
+    element's only reduced expression.  Hence word + (g,) lies in J exactly
+    when g != s and that suffix is shorter than m(s, g).
+    """
+    if not word:
+        return True
+    s = word[-1]
+    if g == s:
+        return False
+    run = 1  # length of the alternating s, g suffix of word, ending in s
+    while run < len(word) and word[-run - 1] == (g if run % 2 else s):
+        run += 1
+    return run + 1 < system.m(s, g)
+
+
 def enumerate_J(system: CoxeterSystem, max_length: int | None = None) -> list[Word]:
     """All elements with a unique reduced expression, as their single reduced
     words, sorted by (length, lexicographic order).
 
     Breadth-first on the right: the empty word is excluded (following the
     convention that J consists of non-identity elements), and a word of length
-    L+1 is kept when it is reduced with a singleton braid orbit.  Prefixes of
-    unique-expression words again have unique expressions, so the search tree
-    contains all of J.  For infinite dihedral-free finite types the search
-    terminates on its own; max_length adds an explicit cap (used in tests).
+    L+1 is kept when its last letter passes the one-step rule of _extends_J.
+    Prefixes of unique-expression words again have unique expressions, so the
+    search tree contains all of J.  For finite types the search terminates on
+    its own; max_length adds an explicit cap (needed for infinite types).
     """
     out: list[Word] = []
     frontier: list[Word] = [()]
-    length = 0
-    while frontier:
-        length += 1
-        if max_length is not None and length > max_length:
-            break
-        nxt: list[Word] = []
-        for w in frontier:
-            for g in system.generators:
-                if w and w[-1] == g:
-                    continue
-                cand = w + (g,)
-                if not is_reduced(system, cand):
-                    continue
-                if len(tits_orbit(system, cand, limit=1)) == 1:
-                    nxt.append(cand)
-        nxt.sort()
+    while frontier and (max_length is None or len(frontier[0]) < max_length):
+        # frontier is sorted, so nxt comes out sorted too
+        nxt = [
+            w + (g,)
+            for w in frontier
+            for g in system.generators
+            if _extends_J(system, w, g)
+        ]
         out.extend(nxt)
         frontier = nxt
     return out
-
-
-def a_is_one(system: CoxeterSystem, word: Word) -> bool:
-    """Whether the element lies in J union the identity: the identity (empty
-    word) or a unique-reduced-expression element."""
-    word = tuple(word)
-    if word == ():
-        return True
-    if not is_reduced(system, word):
-        return False
-    return has_unique_reduced_expression(system, word)
 
 
 @dataclass(frozen=True)
@@ -283,10 +290,7 @@ def cell_table(system: CoxeterSystem, max_length: int | None = None) -> CellTabl
     elements = enumerate_J(system, max_length=max_length)
     r = system.rank
     grid = [[[] for _ in range(r)] for _ in range(r)]
-    for w in elements:
+    for w in elements:  # already sorted by (length, word)
         grid[w[0] - 1][w[-1] - 1].append(w)
-    for i in range(r):
-        for j in range(r):
-            grid[i][j].sort(key=lambda w: (len(w), w))
     boxes = tuple(tuple(tuple(cell) for cell in row) for row in grid)
     return CellTable(system, tuple(elements), boxes)

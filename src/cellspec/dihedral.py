@@ -33,8 +33,6 @@ from .fibpoly import IntPolynomial, eval_at_matrix, fib_f
 from .intmat import IntMatrix, gram, minpoly_symmetric
 from .staircase import exceptional, make_extended_staircase, make_staircase
 
-Block = IntMatrix
-
 
 def theta_generator_matrices(b: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """The block matrices of the two generators acting on Z^(rows+cols)."""

@@ -11,11 +11,12 @@ irreducible.  The admissible edge blocks decompose into atoms:
     m = 4: components [[1], [1]] or [[1, 1]],
     m = 5: 2x2 components with exactly three ones.
 
-assembly_search enumerates size vectors and edge wirings over a tree-shaped
-diagram, prunes by within-slot symmetry, and returns the candidates up to
-simultaneous within-slot permutation.  For the reflection-representation
-comparison, exact arithmetic in Q(sqrt 5) supplies the characteristic
-polynomial on the small side.
+assembly_search enumerates size vectors over a tree-shaped diagram and, for
+each edge, builds one block per class modulo permutations of its far slot
+directly from how the atoms split the near slot's rows; it returns the
+candidates up to simultaneous within-slot permutation.  For the
+reflection-representation comparison, exact arithmetic in Q(sqrt 5) supplies
+the characteristic polynomial on the small side.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .coxeter import CoxeterSystem
 from .fibpoly import fib_f, eval_at_matrix, max_root_bracket
-from .intmat import IntMatrix, charpoly, is_irreducible_nonneg
+from .intmat import IntMatrix, charpoly, is_irreducible_nonneg, reachable, slot_ranges
 
 
 # --- exact arithmetic in Q(sqrt 5) ----------------------------------------------
@@ -337,15 +338,6 @@ def shared_top_eigenvalue(name: str, tol: float = 1e-9) -> SharedEigenvalue:
 # --- verification ----------------------------------------------------------------
 
 
-def _slot_ranges(sizes) -> list[range]:
-    ranges = []
-    start = 0
-    for s in sizes:
-        ranges.append(range(start, start + s))
-        start += s
-    return ranges
-
-
 def _block(m: IntMatrix, rows: range, cols: range) -> IntMatrix:
     return IntMatrix.from_rows(
         [[m.rows[i][j] for j in cols] for i in rows]
@@ -373,7 +365,7 @@ def assembly_violations(
         return ["matrix size does not match the size vector"]
     if not m.is_symmetric():
         problems.append("matrix is not symmetric")
-    slots = _slot_ranges(sizes)
+    slots = slot_ranges(sizes, m.n_rows)
     for i in range(system.rank):
         block = _block(m, slots[i], slots[i])
         if block != IntMatrix.identity(sizes[i]) + IntMatrix.identity(sizes[i]):
@@ -462,119 +454,41 @@ def _pairings(items: tuple[int, ...]):
             yield ((first, items[idx]),) + tail
 
 
-def _edge_wirings(order: int, n_rows: int, n_cols: int) -> list[dict]:
-    """All raw wirings of one edge: dicts mapping (row, col) to 1."""
-    out = []
+def _edge_blocks(order: int, n_rows: int, n_cols: int) -> list[IntMatrix]:
+    """One edge block per class modulo permutations of the column slot.
+
+    Atoms occupy disjoint rows and columns, so a class is fixed by how the
+    atoms split the rows: for order 3 the identity is the only class; for
+    order 4 it is which rows are paired into a shared column, and how; for
+    order 5 it is how the rows are paired and which row of each pair carries
+    two ones.  The first block is the one the first edge of a search uses.
+    Sizes must already pass _sizes_feasible.
+    """
     if order == 3:
-        for perm in itertools.permutations(range(n_cols)):
-            out.append({(i, perm[i]): 1 for i in range(n_rows)})
-        return out
-    if order == 5:
-        for row_pairs in _pairings(tuple(range(n_rows))):
-            for col_pairs in _pairings(tuple(range(n_cols))):
-                for assignment in itertools.permutations(
-                    range(len(col_pairs))
-                ):
-                    matched = [
-                        (row_pairs[t], col_pairs[assignment[t]])
-                        for t in range(len(row_pairs))
-                    ]
-                    for zeros in itertools.product(
-                        range(4), repeat=len(matched)
-                    ):
-                        wiring = {}
-                        for ((a, b), (c, d)), z in zip(matched, zeros):
-                            cells = [(a, c), (a, d), (b, c), (b, d)]
-                            del cells[z]
-                            for cell in cells:
-                                wiring[cell] = 1
-                        out.append(wiring)
-        return out
+        return [IntMatrix.identity(n_rows)]
+    blocks = []
     if order == 4:
         p = (2 * n_rows - n_cols) // 3
-        q = (2 * n_cols - n_rows) // 3
-        rows = tuple(range(n_rows))
-        cols = tuple(range(n_cols))
-        for paired_rows in itertools.combinations(rows, 2 * p):
-            single_rows = tuple(x for x in rows if x not in paired_rows)
-            for row_pairs in _pairings(paired_rows):
-                for single_cols in itertools.combinations(cols, p):
-                    paired_cols = tuple(x for x in cols if x not in single_cols)
-                    for col_pairs in _pairings(paired_cols):
-                        for sigma in itertools.permutations(range(p)):
-                            for tau in itertools.permutations(range(q)):
-                                wiring = {}
-                                for t, pair in enumerate(row_pairs):
-                                    c = single_cols[sigma[t]]
-                                    wiring[(pair[0], c)] = 1
-                                    wiring[(pair[1], c)] = 1
-                                for t, r in enumerate(single_rows):
-                                    cc = col_pairs[tau[t]]
-                                    wiring[(r, cc[0])] = 1
-                                    wiring[(r, cc[1])] = 1
-                                out.append(wiring)
-        return out
+        for paired in itertools.combinations(range(n_rows), 2 * p):
+            singles = [x for x in range(n_rows) if x not in paired]
+            for pairs in _pairings(paired):
+                rows = [[0] * n_cols for _ in range(n_rows)]
+                for t, (a, b) in enumerate(pairs):
+                    rows[a][t] = rows[b][t] = 1
+                for u, x in enumerate(singles):
+                    rows[x][p + 2 * u] = rows[x][p + 2 * u + 1] = 1
+                blocks.append(IntMatrix.from_rows(rows))
+        return blocks
+    if order == 5:
+        for pairs in _pairings(tuple(range(n_rows))):
+            for heavy in itertools.product((0, 1), repeat=len(pairs)):
+                rows = [[0] * n_cols for _ in range(n_rows)]
+                for t, (pair, h) in enumerate(zip(pairs, heavy)):
+                    a, b = pair[h], pair[1 - h]
+                    rows[a][2 * t] = rows[a][2 * t + 1] = rows[b][2 * t] = 1
+                blocks.append(IntMatrix.from_rows(rows))
+        return blocks
     raise ValueError("edges carry orders 3, 4 or 5")
-
-
-def _wiring_to_matrix(wiring: dict, n_rows: int, n_cols: int) -> IntMatrix:
-    rows = [[0] * n_cols for _ in range(n_rows)]
-    for (i, j), v in wiring.items():
-        rows[i][j] = v
-    return IntMatrix.from_rows(rows)
-
-
-def _canonical_edge_wiring(order: int, n_rows: int, n_cols: int) -> IntMatrix:
-    """One representative wiring per feasible size pair.
-
-    Any two wirings of the same edge differ by row and column permutations
-    (the atoms occupy disjoint rows and columns, can be sorted into place,
-    and an order-5 atom's zero corner moves freely under swaps inside the
-    atom), so a slot pair that carries no earlier constraints needs just
-    this one block.  Sizes must already pass _sizes_feasible.
-    """
-    wiring = {}
-    if order == 3:
-        for i in range(n_rows):
-            wiring[(i, i)] = 1
-    elif order == 4:
-        p = (2 * n_rows - n_cols) // 3
-        q = (2 * n_cols - n_rows) // 3
-        for t in range(p):
-            wiring[(2 * t, t)] = 1
-            wiring[(2 * t + 1, t)] = 1
-        for u in range(q):
-            wiring[(2 * p + u, p + 2 * u)] = 1
-            wiring[(2 * p + u, p + 2 * u + 1)] = 1
-    elif order == 5:
-        for t in range(n_rows // 2):
-            wiring[(2 * t, 2 * t)] = 1
-            wiring[(2 * t, 2 * t + 1)] = 1
-            wiring[(2 * t + 1, 2 * t)] = 1
-    else:
-        raise ValueError("edges carry orders 3, 4 or 5")
-    return _wiring_to_matrix(wiring, n_rows, n_cols)
-
-
-def _min_under_col_perms(m: IntMatrix) -> tuple:
-    best = None
-    for perm in itertools.permutations(range(m.n_cols)):
-        cand = tuple(tuple(row[j] for j in perm) for row in m.rows)
-        if best is None or cand < best:
-            best = cand
-    return best
-
-
-def _dedupe_wirings(blocks: list[IntMatrix]) -> list[IntMatrix]:
-    """Keep one block per class modulo permutations of the column side only
-    (the far slot of a later edge, private to it in a tree-shaped diagram;
-    the near slot is pinned by earlier edges)."""
-    seen = {}
-    for b in blocks:
-        key = _min_under_col_perms(b)
-        if key not in seen:
-            seen[key] = b
-    return list(seen.values())
 
 
 def _size_vectors(r: int, max_total: int):
@@ -588,7 +502,7 @@ def _size_vectors(r: int, max_total: int):
 def conjugation_canonical(m: IntMatrix, sizes) -> IntMatrix:
     """Minimal matrix over simultaneous within-slot permutations applied to
     rows and columns together."""
-    slots = _slot_ranges(tuple(sizes))
+    slots = slot_ranges(sizes, m.n_rows)
     best = None
     for parts in itertools.product(
         *(itertools.permutations(rng) for rng in slots)
@@ -617,6 +531,7 @@ def assembly_search(
     if r < 2:
         raise ValueError("assembly needs rank at least 2")
     edges = []
+    adjacency: dict[int, list[int]] = {i: [] for i in range(1, r + 1)}
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
             order = system.m(i, j)
@@ -627,25 +542,19 @@ def assembly_search(
                 )
             if order >= 3:
                 edges.append((i, j, order))
+                adjacency[i].append(j)
+                adjacency[j].append(i)
     if len(edges) != r - 1:
         raise ValueError("diagram must be a tree")
-    # breadth-first orientation from generator 1: each edge (near, far)
-    adjacency: dict[int, list[tuple[int, int]]] = {i: [] for i in range(1, r + 1)}
-    for i, j, order in edges:
-        adjacency[i].append((j, order))
-        adjacency[j].append((i, order))
-    oriented: list[tuple[int, int, int]] = []
-    seen = {1}
-    queue = [1]
-    while queue:
-        v = queue.pop(0)
-        for w, order in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                oriented.append((v, w, order))
-                queue.append(w)
-    if len(seen) != r:
+    # breadth-first orientation from generator 1: each edge (near, far) joins
+    # a vertex to its earliest-visited neighbour
+    visit = reachable(adjacency, start=1)
+    if len(visit) != r:
         raise ValueError("diagram must be connected")
+    oriented = []
+    for far in visit[1:]:
+        near = min(adjacency[far], key=visit.index)
+        oriented.append((near, far, system.m(near, far)))
 
     results: dict[tuple, AssemblyCandidate] = {}
     for sizes in _size_vectors(r, max_total):
@@ -654,25 +563,15 @@ def assembly_search(
             for i, j, order in edges
         ):
             continue
-        per_edge: list[list[IntMatrix]] = []
-        feasible = True
-        for idx, (near, far, order) in enumerate(oriented):
-            nr, nc = sizes[near - 1], sizes[far - 1]
-            if idx == 0:
-                # The first edge's two slots carry no earlier constraints,
-                # so one representative block covers its whole orbit.
-                per_edge.append([_canonical_edge_wiring(order, nr, nc)])
-                continue
-            raw = _edge_wirings(order, nr, nc)
-            if not raw:
-                feasible = False
-                break
-            blocks = [_wiring_to_matrix(w, nr, nc) for w in raw]
-            per_edge.append(_dedupe_wirings(blocks))
-        if not feasible:
-            continue
-        slots = _slot_ranges(sizes)
+        per_edge = [
+            _edge_blocks(order, sizes[near - 1], sizes[far - 1])
+            for near, far, order in oriented
+        ]
+        # The first edge's two slots carry no earlier constraints, so one
+        # representative block covers its whole orbit.
+        per_edge[0] = per_edge[0][:1]
         total = sum(sizes)
+        slots = slot_ranges(sizes, total)
         for combo in itertools.product(*per_edge):
             rows = [[0] * total for _ in range(total)]
             for i in range(total):

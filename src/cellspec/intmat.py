@@ -183,6 +183,42 @@ def minpoly_symmetric(m: IntMatrix) -> IntPolynomial:
     return squarefree_part(charpoly(m))
 
 
+def reachable(adjacency, start=0) -> list:
+    """The vertices reachable from start, start included, in breadth-first
+    order.  adjacency[v] lists the successors of v (a list indexed by vertex
+    or a dict keyed by vertex); successors are visited in the listed order.
+
+    >>> reachable([[1, 2], [3], [], []])
+    [0, 1, 2, 3]
+    >>> reachable({1: [2], 2: [1], 3: []}, start=1)
+    [1, 2]
+    """
+    order = [start]
+    seen = {start}
+    for v in order:  # order grows while it is walked: a FIFO queue
+        for w in adjacency[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
+def slot_ranges(sizes, total: int) -> list[range]:
+    """Consecutive index ranges of the given lengths, which must be positive
+    and sum to total; sizes None means the single range(total)."""
+    if sizes is None:
+        return [range(total)]
+    sizes = list(sizes)
+    if any(s < 1 for s in sizes) or sum(sizes) != total:
+        raise ValueError("block sizes must be positive and sum to the dimension")
+    ranges = []
+    start = 0
+    for s in sizes:
+        ranges.append(range(start, start + s))
+        start += s
+    return ranges
+
+
 def is_irreducible_nonneg(m: IntMatrix) -> bool:
     """Irreducibility of a square non-negative matrix in the Perron-Frobenius
     sense: the directed graph with an edge i -> j whenever m[i][j] > 0 is
@@ -200,20 +236,7 @@ def is_irreducible_nonneg(m: IntMatrix) -> bool:
         return m.rows[0][0] > 0
     adj = [[j for j in range(n) if m.rows[i][j] > 0] for i in range(n)]
     radj = [[j for j in range(n) if m.rows[j][i] > 0] for i in range(n)]
-
-    def reaches_all(edges) -> bool:
-        seen = [False] * n
-        seen[0] = True
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            for w in edges[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        return all(seen)
-
-    return reaches_all(adj) and reaches_all(radj)
+    return len(reachable(adj)) == n and len(reachable(radj)) == n
 
 
 def spectrum_in_range(m: IntMatrix, lo, hi) -> bool:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .intmat import IntMatrix
+from .intmat import IntMatrix, reachable
 
 
 class NotSimplyLacedDynkinError(ValueError):
@@ -85,15 +85,8 @@ class ZigzagAlgebra:
     def is_connected(self) -> bool:
         if self.n_vertices == 0:
             return True
-        seen = {1}
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            for w in self.neighbors(v):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n_vertices
+        adjacency = {v: self.neighbors(v) for v in range(1, self.n_vertices + 1)}
+        return len(reachable(adjacency, start=1)) == self.n_vertices
 
     def adjacency_matrix(self) -> IntMatrix:
         n = self.n_vertices
@@ -151,15 +144,7 @@ def dynkin_type_of_graph(n_vertices: int, edges) -> str:
         adjacency[j].append(i)
     # connectivity: a tree on n vertices with n-1 distinct edges is connected
     # exactly when every vertex is reachable from vertex 1
-    seen = {1}
-    stack = [1]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != n_vertices:
+    if len(reachable(adjacency, start=1)) != n_vertices:
         raise NotSimplyLacedDynkinError("graph is disconnected")
     if any(d >= 4 for d in degree.values()):
         raise NotSimplyLacedDynkinError("a vertex has degree at least 4")

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, gram, spectrum_in_range
+from .intmat import IntMatrix, gram, reachable, slot_ranges, spectrum_in_range
 
 
 class NonBinaryEntryError(ValueError):
@@ -205,20 +205,6 @@ def generators_for_shape(n_rows: int, n_cols: int) -> list[MatrixClass]:
 # --- canonical forms ------------------------------------------------------------
 
 
-def _blocks_to_ranges(blocks, total) -> list[range]:
-    if blocks is None:
-        return [range(total)]
-    sizes = list(blocks)
-    if any(s < 1 for s in sizes) or sum(sizes) != total:
-        raise ValueError("block sizes must be positive and sum to the dimension")
-    ranges = []
-    start = 0
-    for s in sizes:
-        ranges.append(range(start, start + s))
-        start += s
-    return ranges
-
-
 def canonical_form(
     m: IntMatrix, row_blocks=None, col_blocks=None
 ) -> IntMatrix:
@@ -234,8 +220,8 @@ def canonical_form(
     >>> canonical_form(IntMatrix.from_rows([[1, 0], [1, 1]])).rows
     ((0, 1), (1, 1))
     """
-    row_ranges = _blocks_to_ranges(row_blocks, m.n_rows)
-    col_ranges = _blocks_to_ranges(col_blocks, m.n_cols)
+    row_ranges = slot_ranges(row_blocks, m.n_rows)
+    col_ranges = slot_ranges(col_blocks, m.n_cols)
     if col_blocks is None and m.n_cols > 10:
         raise ValueError("refusing to enumerate permutations of more than 10 columns")
 
@@ -285,16 +271,7 @@ def is_connected_bipartite(m: IntMatrix) -> bool:
             if m.rows[i][j]:
                 adj[i].append(r + j)
                 adj[r + j].append(i)
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return all(seen)
+    return len(reachable(adj)) == n
 
 
 def _smaller_gram(m: IntMatrix) -> IntMatrix:

@@ -4,12 +4,16 @@ These deliberately avoid the package's own algorithms: the group-theoretic
 word counts walk a concrete matrix or permutation realization of each group,
 the characteristic polynomial comes from permutation expansion of the
 determinant, and the equivalence test for 0-1 matrices tries every row and
-column permutation.
+column permutation.  The enumerate-then-filter references keep the slow paths
+that direct constructions replaced: J by the braid-orbit filter, edge blocks
+by every raw wiring deduplicated over all column orders, and cells by Tarjan's
+strongly connected components.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 
+from cellspec.coxeter import is_reduced, tits_orbit
 from cellspec.fibpoly import IntPolynomial
 from cellspec.higher_rank import QuadraticElement
 
@@ -287,3 +291,152 @@ def max_root_bracket_by_bisection(p: IntPolynomial, width: Fraction):
         else:
             b = mid
     return a, b
+
+
+def enumerate_J_by_orbit_filter(system, max_length):
+    """Reference for coxeter.enumerate_J: extend every word of J by every
+    letter and keep the extensions that are reduced with a singleton braid
+    orbit, level by level up to max_length."""
+    out = []
+    frontier = [()]
+    for _ in range(max_length):
+        nxt = []
+        for w in frontier:
+            for g in system.generators:
+                cand = w + (g,)
+                if is_reduced(system, cand) and len(
+                    tits_orbit(system, cand, limit=1)
+                ) == 1:
+                    nxt.append(cand)
+        nxt.sort()
+        out.extend(nxt)
+        frontier = nxt
+    return out
+
+
+def _pairings(items):
+    if not items:
+        yield ()
+        return
+    for idx in range(1, len(items)):
+        rest = items[1:idx] + items[idx + 1 :]
+        for tail in _pairings(rest):
+            yield ((items[0], items[idx]),) + tail
+
+
+def edge_wirings(order: int, n_rows: int, n_cols: int):
+    """Every raw wiring of one edge of the given bond order, as row tuples:
+    each way to place the atoms of the order (a permutation block for 3,
+    [[1], [1]] and [[1, 1]] for 4, 2x2 blocks with one zero for 5) on
+    disjoint rows and columns."""
+    wirings = []
+    if order == 3:
+        for perm in permutations(range(n_cols)):
+            wirings.append({(i, perm[i]) for i in range(n_rows)})
+    elif order == 5:
+        for row_pairs in _pairings(tuple(range(n_rows))):
+            for col_pairs in _pairings(tuple(range(n_cols))):
+                for assignment in permutations(range(len(col_pairs))):
+                    matched = [
+                        (row_pairs[t], col_pairs[assignment[t]])
+                        for t in range(len(row_pairs))
+                    ]
+                    for zeros in product(range(4), repeat=len(matched)):
+                        cells = set()
+                        for ((a, b), (c, d)), z in zip(matched, zeros):
+                            square = [(a, c), (a, d), (b, c), (b, d)]
+                            del square[z]
+                            cells.update(square)
+                        wirings.append(cells)
+    elif order == 4:
+        p = (2 * n_rows - n_cols) // 3
+        q = (2 * n_cols - n_rows) // 3
+        for paired_rows in combinations(range(n_rows), 2 * p):
+            single_rows = [x for x in range(n_rows) if x not in paired_rows]
+            for row_pairs in _pairings(paired_rows):
+                for single_cols in combinations(range(n_cols), p):
+                    paired_cols = tuple(
+                        x for x in range(n_cols) if x not in single_cols
+                    )
+                    for col_pairs in _pairings(paired_cols):
+                        for sigma in permutations(range(p)):
+                            for tau in permutations(range(q)):
+                                cells = set()
+                                for t, (a, b) in enumerate(row_pairs):
+                                    cells.add((a, single_cols[sigma[t]]))
+                                    cells.add((b, single_cols[sigma[t]]))
+                                for t, x in enumerate(single_rows):
+                                    c, d = col_pairs[tau[t]]
+                                    cells.update({(x, c), (x, d)})
+                                wirings.append(cells)
+    else:
+        raise ValueError("edges carry orders 3, 4 or 5")
+    return [
+        tuple(
+            tuple(int((i, j) in cells) for j in range(n_cols))
+            for i in range(n_rows)
+        )
+        for cells in wirings
+    ]
+
+
+def min_under_col_perms(rows):
+    """The class key of a block modulo column permutations: its least
+    arrangement over every column order."""
+    return min(
+        tuple(tuple(row[j] for j in perm) for row in rows)
+        for perm in permutations(range(len(rows[0])))
+    )
+
+
+def cells_by_tarjan(succ):
+    """Strongly connected components of the digraph succ (succ[v] lists the
+    successors of v) by Tarjan's algorithm, and the reachability order
+    between them.  Returns (cells, leq): cells as sorted tuples ordered by
+    least member, leq[a][b] true when cell b is reachable from cell a."""
+    n = len(succ)
+    index, low, on_stack = {}, {}, set()
+    stack, components = [], []
+
+    def strongconnect(v):
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        for w in succ[v]:
+            if w not in index:
+                strongconnect(w)
+                low[v] = min(low[v], low[w])
+            elif w in on_stack:
+                low[v] = min(low[v], index[w])
+        if low[v] == index[v]:
+            component = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                component.append(w)
+                if w == v:
+                    break
+            components.append(tuple(sorted(component)))
+
+    for v in range(n):
+        if v not in index:
+            strongconnect(v)
+    cells = sorted(components)
+    cell_of = {v: a for a, cell in enumerate(cells) for v in cell}
+    above = [set() for _ in cells]
+    for v in range(n):
+        for w in succ[v]:
+            above[cell_of[v]].add(cell_of[w])
+
+    def closure(a, seen):
+        seen.add(a)
+        for b in above[a]:
+            if b not in seen:
+                closure(b, seen)
+        return seen
+
+    leq = tuple(
+        tuple(b in closure(a, set()) for b in range(len(cells)))
+        for a in range(len(cells))
+    )
+    return tuple(cells), leq

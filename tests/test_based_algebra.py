@@ -2,6 +2,8 @@ import doctest
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellspec.based_algebra as based_algebra_module
 from cellspec.based_algebra import BasedAlgebra, BasedModule
@@ -12,6 +14,7 @@ from cellspec.dihedral import (
     enumerate_B,
 )
 from cellspec.intmat import IntMatrix
+from oracles import cells_by_tarjan
 
 
 def test_doctests():
@@ -60,6 +63,28 @@ class TestValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             BasedAlgebra.make(["a"], [[[1, 0]]], identity=0)
+
+    def test_associativity_check_refuses_int64_overflow(self):
+        # x*x = 2^32 y and y*x = 2^32 x, all other products of x and y zero:
+        # (x*x)*x - x*(x*x) = 2^64 x, which wraps to 0 in int64.
+        big = 2 ** 32
+        gamma = [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [0, 0, big], [0, 0, 0]],
+            [[0, 0, 1], [0, big, 0], [0, 0, 0]],
+        ]
+        with pytest.raises(ValueError, match="associativity"):
+            BasedAlgebra.make(["e", "x", "y"], gamma, identity=0)
+
+    def test_module_check_refuses_int64_overflow(self):
+        # x*x = 2^32 x acting on Z by 2^32: both sides of the module law
+        # reach 2^64.
+        big = 2 ** 32
+        gamma = [[[1, 0], [0, 1]], [[0, 1], [0, big]]]
+        algebra = BasedAlgebra.make(["e", "x"], gamma, identity=0, validate=False)
+        actions = [IntMatrix.identity(1), IntMatrix.from_rows([[big]])]
+        with pytest.raises(ValueError, match="module law"):
+            BasedModule.make(algebra, actions)
 
 
 class TestCells:
@@ -110,6 +135,31 @@ class TestCells:
         assert not two.is_leq(big_cell, e_cell)
         assert two.maximal_among({e_cell, big_cell}) == (big_cell,)
         assert two.maximal_among({e_cell}) == (e_cell,)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_cells_match_tarjan(self, data):
+        n = data.draw(st.integers(1, 7))
+        index = st.integers(0, n - 1)
+        support = data.draw(st.lists(st.tuples(index, index, index), max_size=2 * n))
+        gamma = [[[0] * n for _ in range(n)] for _ in range(n)]
+        for i, j, k in support:
+            gamma[i][j][k] = data.draw(st.integers(1, 3))
+        algebra = BasedAlgebra(tuple(map(str, range(n))), gamma, 0)
+        for side in ("left", "right", "two_sided"):
+            succ = [set() for _ in range(n)]
+            for i, j, k in support:
+                if side != "right":
+                    succ[j].add(k)
+                if side != "left":
+                    succ[i].add(k)
+            cells, leq = cells_by_tarjan([sorted(s) for s in succ])
+            partition = algebra.cells(side)
+            assert partition.cells == cells
+            assert partition.leq == leq
+            assert all(
+                partition.cell_of[v] == a for a, cell in enumerate(cells) for v in cell
+            )
 
 
 class TestModules:

@@ -54,6 +54,11 @@ class TestCells:
         assert code == 1
         assert err.startswith("error:")
 
+    def test_negative_max_length_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["cells", "A3", "--max-length", "-1"])
+        assert excinfo.value.code == 2
+
 
 class TestFibpoly:
     def test_single_index(self, capsys):
@@ -74,6 +79,11 @@ class TestFibpoly:
             cli.main(["fibpoly"])
         assert excinfo.value.code == 2
 
+    def test_negative_upto_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["fibpoly", "--upto", "-3"])
+        assert excinfo.value.code == 2
+
 
 class TestMatspec:
     def test_cartan_matrix_report(self, capsys):
@@ -83,6 +93,17 @@ class TestMatspec:
         assert results["minpoly"]["text"] == "x^2 - 4x + 3"
         assert results["gram_spectrum_below_4"] is False
         assert results["dihedral_level"] is None
+
+    @pytest.mark.parametrize(
+        "text, entry",
+        [("[[1.7,0],[1,1]]", "1.7"), ('[[true,0],[1,"1"]]', "true"),
+         ('[[1,0],[1,"1"]]', '"1"')],
+    )
+    def test_non_integer_entry_is_a_domain_error(self, capsys, text, entry):
+        code, out, err = run_cli(capsys, "matspec", "--matrix", text)
+        assert code == 1
+        assert out == ""
+        assert f"entry {entry} is not an integer" in err
 
     def test_staircase_report_recovers_the_level(self, capsys):
         report = run_json(capsys, "matspec", "--matrix", "[[1,0],[1,1]]")
@@ -314,6 +335,14 @@ class TestCellsOfAlgebra:
         assert results["left"] == [["e", "g"]]
         assert results["right"] == [["e", "g"]]
         assert results["two_sided"] == [["e", "g"]]
+
+    def test_gamma_file_non_integer_entry_is_a_domain_error(self, capsys, tmp_path):
+        data = {"gamma": [[[1, 0], [0, 1]], [[0, 1], [1.0, 0]]], "identity": 0}
+        path = tmp_path / "c2.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "cells-of-algebra", "--gamma-file", str(path))
+        assert code == 1
+        assert "gamma entry 1.0 is not an integer" in err
 
     def test_missing_source_is_a_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "cells-of-algebra")

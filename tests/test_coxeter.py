@@ -1,6 +1,9 @@
 import doctest
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellspec.coxeter as coxeter_module
 from cellspec.coxeter import (
@@ -16,6 +19,7 @@ from oracles import (
     cayley_unique_word_elements,
     dihedral_gens,
     element_order,
+    enumerate_J_by_orbit_filter,
     perm_gens_a,
     reflection_gens_h3,
     signed_perm_gens_b,
@@ -175,3 +179,18 @@ class TestEnumerateJ:
         for w in words:
             if len(w) > 1:
                 assert w[:-1] in words, w
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_orbit_filter_on_random_systems(self, data):
+        # Random Coxeter matrices, so cyclic diagrams and infinite groups
+        # (where only max_length stops the search) are both common.
+        rank = data.draw(st.integers(2, 5))
+        mat = [[1 if i == j else 2 for j in range(rank)] for i in range(rank)]
+        for i, j in combinations(range(rank), 2):
+            mat[i][j] = mat[j][i] = data.draw(st.integers(2, 8))
+        system = CoxeterSystem("random", rank, tuple(map(tuple, mat)))
+        max_length = data.draw(st.integers(1, 7))
+        assert enumerate_J(system, max_length=max_length) == (
+            enumerate_J_by_orbit_filter(system, max_length)
+        )

@@ -10,6 +10,8 @@ from cellspec.coxeter import CoxeterSystem
 from cellspec.fibpoly import IntPolynomial
 from cellspec.higher_rank import (
     QuadraticElement,
+    _edge_blocks,
+    _sizes_feasible,
     assembly_search,
     assembly_violations,
     b_family_matrix,
@@ -23,6 +25,15 @@ from cellspec.higher_rank import (
 )
 from cellspec.intmat import IntMatrix, charpoly
 from frozen import REFERENCE_ASSEMBLIES
+from oracles import edge_wirings, min_under_col_perms
+
+FEASIBLE_EDGES = [
+    (order, a, b)
+    for order in (3, 4, 5)
+    for a in range(1, 6)
+    for b in range(1, 6)
+    if _sizes_feasible(order, a, b)
+]
 
 
 def test_doctests():
@@ -234,6 +245,30 @@ class TestSearch:
             [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
         ]
 
+    def test_branching_diagrams(self):
+        # D4 and D5 are the only branching diagrams, so the only inputs whose
+        # breadth-first edge orientation is not a path.
+        found = assembly_search(CoxeterSystem.from_name("D4"), max_total=12)
+        assert [(c.sizes, c.matrix.to_lists()) for c in found] == [
+            (
+                (1, 1, 1, 1),
+                [[2, 1, 0, 0], [1, 2, 1, 1], [0, 1, 2, 0], [0, 1, 0, 2]],
+            )
+        ]
+        found = assembly_search(CoxeterSystem.from_name("D5"), max_total=10)
+        assert [(c.sizes, c.matrix.to_lists()) for c in found] == [
+            (
+                (1, 1, 1, 1, 1),
+                [
+                    [2, 1, 0, 0, 0],
+                    [1, 2, 1, 0, 1],
+                    [0, 1, 2, 1, 0],
+                    [0, 0, 1, 2, 0],
+                    [0, 1, 0, 0, 2],
+                ],
+            )
+        ]
+
     def test_rank2_order5(self):
         found = assembly_search(CoxeterSystem.dihedral(5), max_total=12)
         assert len(found) == 1
@@ -255,6 +290,17 @@ class TestSearch:
             system = CoxeterSystem.from_name(name)
             for cand in assembly_search(system, max_total=12):
                 assert verify_assembly(system, cand.sizes, cand.matrix)
+
+
+class TestEdgeBlocks:
+    @pytest.mark.parametrize("order, n_rows, n_cols", FEASIBLE_EDGES)
+    def test_one_block_per_class_of_raw_wirings(self, order, n_rows, n_cols):
+        keys = [
+            min_under_col_perms(b.rows) for b in _edge_blocks(order, n_rows, n_cols)
+        ]
+        assert len(set(keys)) == len(keys)
+        raw = edge_wirings(order, n_rows, n_cols)
+        assert set(keys) == {min_under_col_perms(rows) for rows in raw}
 
 
 class TestConjugationCanonical:
