@@ -25,6 +25,25 @@ from .intmat import IntMatrix, is_irreducible_nonneg, pf_vector, reachable
 Gamma = tuple[tuple[tuple[int, ...], ...], ...]
 
 
+def _check_law(gamma: np.ndarray, acts: np.ndarray, labels, what: str) -> None:
+    """Check acts[i] @ acts[j] == sum_k gamma[i][j][k] acts[k] for every pair
+    (i, j), with one batched product per i over all j.
+
+    gamma has shape (n, n, n) and acts shape (n, d, d), both int64; the
+    caller guarantees that no value on either side overflows.  Raises
+    ValueError "<what> fails at (label_i, label_j)" for the first failing
+    pair in row-major order.
+    """
+    n, d = acts.shape[0], acts.shape[1]
+    flat = acts.reshape(n, d * d)
+    for i in range(n):
+        products = acts[i] @ acts
+        combos = (gamma[i] @ flat).reshape(n, d, d)
+        bad = np.flatnonzero((products != combos).any(axis=(1, 2)))
+        if bad.size:
+            raise ValueError(f"{what} fails at ({labels[i]}, {labels[bad[0]]})")
+
+
 @dataclass(frozen=True)
 class BasedAlgebra:
     """A finite-dimensional algebra with a fixed basis, multiplication tensor
@@ -50,14 +69,13 @@ class BasedAlgebra:
     def dimension(self) -> int:
         return len(self.labels)
 
-    def left_multiplication(self, i: int) -> IntMatrix:
-        """Matrix of left multiplication by basis element i on the basis."""
-        n = self.dimension
-        return IntMatrix.from_rows(
-            [[self.gamma[i][j][k] for j in range(n)] for k in range(n)]
-        )
-
     def validate(self) -> None:
+        """Check the identity index, the tensor shape, non-negativity, the
+        identity laws and associativity, raising ValueError at the first
+        failure.  Associativity compares L_i L_j with
+        sum_k gamma[i][j][k] L_k for the left multiplication matrices L_i,
+        in int64 with one batched product per i (see _check_law), after a
+        guard that refuses tensors whose values could reach 2^63."""
         n = self.dimension
         if not (0 <= self.identity < n):
             raise ValueError("identity index out of range")
@@ -66,11 +84,9 @@ class BasedAlgebra:
             for plane in self.gamma
         ):
             raise ValueError("tensor shape mismatch")
-        for plane in self.gamma:
-            for row in plane:
-                for c in row:
-                    if c < 0:
-                        raise ValueError("negative structure constant")
+        rows = [row for plane in self.gamma for row in plane]
+        if min(map(min, rows)) < 0:
+            raise ValueError("negative structure constant")
         e = self.identity
         for j in range(n):
             for k in range(n):
@@ -78,24 +94,16 @@ class BasedAlgebra:
                     raise ValueError("identity fails on the left")
                 if self.gamma[j][e][k] != int(j == k):
                     raise ValueError("identity fails on the right")
-        # associativity via left multiplication operators:
-        # L_i L_j must equal sum_k gamma[i][j][k] L_k; no value on either side,
-        # partial sums included, exceeds n * max(gamma)^2 (constants are >= 0)
-        top = max(c for plane in self.gamma for row in plane for c in row)
+        # associativity via left multiplication operators L_i[k][j] =
+        # gamma[i][j][k]: L_i L_j must equal sum_k gamma[i][j][k] L_k; no
+        # value on either side, partial sums included, exceeds
+        # n * max(gamma)^2 (constants are >= 0)
+        top = max(map(max, rows))
         if n * top * top >= 2 ** 63:
             raise ValueError("associativity check would overflow int64")
-        lefts = np.array(
-            [self.left_multiplication(i).to_numpy(dtype=np.int64) for i in range(n)]
-        )
         g = np.array(self.gamma, dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                product = lefts[i] @ lefts[j]
-                combo = np.tensordot(g[i][j], lefts, axes=(0, 0))
-                if not np.array_equal(product, combo):
-                    raise ValueError(
-                        f"associativity fails at ({self.labels[i]}, {self.labels[j]})"
-                    )
+        lefts = np.ascontiguousarray(g.transpose(0, 2, 1))
+        _check_law(g, lefts, self.labels, "associativity")
 
     # --- cells -------------------------------------------------------------
 
@@ -189,6 +197,11 @@ class BasedModule:
         return self.actions[0].n_rows
 
     def validate(self) -> None:
+        """Check one square non-negative action per basis element, the
+        identity action and the module law A_i A_j = sum_k gamma[i][j][k] A_k
+        for every pair, raising ValueError at the first failure.  The law is
+        checked in int64 with one batched product per i (see _check_law),
+        after a guard that refuses values that could reach 2^63."""
         n = self.algebra.dimension
         if len(self.actions) != n:
             raise ValueError("one action matrix per basis element required")
@@ -196,29 +209,19 @@ class BasedModule:
         for m in self.actions:
             if m.shape != (d, d):
                 raise ValueError("action matrices must share one square shape")
-            for row in m.rows:
-                for c in row:
-                    if c < 0:
-                        raise ValueError("negative entry in an action matrix")
+            if min(map(min, m.rows)) < 0:
+                raise ValueError("negative entry in an action matrix")
         if self.actions[self.algebra.identity] != IntMatrix.identity(d):
             raise ValueError("identity must act as the identity matrix")
         # A_i A_j must equal sum_k gamma[i][j][k] A_k; the two sides stay
         # below d * max(A)^2 and n * max(gamma) * max(A)
-        top_a = max((c for m in self.actions for row in m.rows for c in row), default=0)
-        top_g = max(c for plane in self.algebra.gamma for row in plane for c in row)
+        top_a = max((max(row) for m in self.actions for row in m.rows), default=0)
+        top_g = max(max(row) for plane in self.algebra.gamma for row in plane)
         if max(d * top_a, n * top_g) * top_a >= 2 ** 63:
             raise ValueError("module law check would overflow int64")
         acts = np.array([m.to_numpy(dtype=np.int64) for m in self.actions])
         g = np.array(self.algebra.gamma, dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                product = acts[i] @ acts[j]
-                combo = np.tensordot(g[i][j], acts, axes=(0, 0))
-                if not np.array_equal(product, combo):
-                    raise ValueError(
-                        "module law fails at "
-                        f"({self.algebra.labels[i]}, {self.algebra.labels[j]})"
-                    )
+        _check_law(g, acts, self.algebra.labels, "module law")
 
     def total_action(self) -> IntMatrix:
         total = IntMatrix.zeros(self.dimension, self.dimension)

@@ -572,6 +572,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the dihedral level argument of each subcommand that takes one
+_LEVEL_FLAGS = {
+    "enumerate-b": "--n",
+    "dihedral-table": "--n",
+    "cells-of-algebra": "--dihedral-n",
+    "apex": "--n",
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -581,6 +590,11 @@ def main(argv=None) -> int:
         parser.error("fibpoly --upto must be non-negative")
     if args.command == "cells" and args.max_length is not None and args.max_length < 0:
         parser.error("cells --max-length must be non-negative")
+    level_flag = _LEVEL_FLAGS.get(args.command)
+    if level_flag is not None:
+        level = getattr(args, level_flag[2:].replace("-", "_"))
+        if level is not None and level < 3:
+            parser.error(f"{args.command} {level_flag} must be at least 3")
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:

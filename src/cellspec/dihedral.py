@@ -295,15 +295,45 @@ def enumerate_B(n: int) -> list[DihedralCandidate]:
 # --- the based algebra of a level ------------------------------------------------
 
 
+def _word(first: int, length: int) -> str:
+    """The alternating word of the given length starting with `first`."""
+    return "".join(str(first if k % 2 == 0 else 3 - first) for k in range(length))
+
+
 def _basis_labels(n: int) -> list[str]:
-    labels = ["e"]
-    for length in range(1, n):
-        for first in (1, 2):
-            word = "".join(
-                str(first if k % 2 == 0 else 3 - first) for k in range(length)
-            )
-            labels.append(word)
-    return labels
+    return ["e"] + [_word(first, length) for length in range(1, n) for first in (1, 2)]
+
+
+def _word_ladder(gen_1, gen_2, top: int) -> dict[tuple[int, int], tuple]:
+    """The matrices L(g, length), as row tuples of Python ints, of the
+    alternating words starting with generator g = 1, 2 of lengths 1..top.
+
+    gen_1 and gen_2 are the rows of L(1, 1) and L(2, 1).  The ladder is
+    L(g, length) = L(g, 1) L(3-g, length-1) - L(g, length-2), with nothing
+    subtracted at length 2, and each product runs over the nonzero entries
+    of the generator factor only.
+
+    >>> words = _word_ladder(((2, 1), (0, 0)), ((0, 0), (1, 2)), 3)
+    >>> words[(1, 2)], words[(1, 3)]
+    (((1, 2), (0, 0)), ((0, 0), (0, 0)))
+    """
+    sparse = {
+        g: [[(k, c) for k, c in enumerate(row) if c] for row in gen]
+        for g, gen in ((1, gen_1), (2, gen_2))
+    }
+    words = {(1, 1): tuple(map(tuple, gen_1)), (2, 1): tuple(map(tuple, gen_2))}
+    for length in range(2, top + 1):
+        for g in (1, 2):
+            factor = words[(3 - g, length - 1)]
+            lower = words.get((g, length - 2))
+            rows = []
+            for i, entries in enumerate(sparse[g]):
+                row = [-x for x in lower[i]] if lower else [0] * len(factor[0])
+                for k, c in entries:
+                    row = [a + c * b for a, b in zip(row, factor[k])]
+                rows.append(tuple(row))
+            words[(g, length)] = tuple(rows)
+    return words
 
 
 @lru_cache(maxsize=None)
@@ -312,10 +342,16 @@ def structure_constants(n: int):
     e, alternating words of lengths 1..n-1 (two per length).
 
     gamma[i][j][k] is the coefficient of basis element k in the product of
-    basis elements i and j.  Computed from the two generator left-
-    multiplication matrices by the three-term ladder
-    L(g, length) = L(g, 1) L(3-g, length-1) - L(g, length-2), with the
-    length-n words truncated to zero.
+    basis elements i and j, read off the left multiplication matrices of the
+    basis elements.  Those come from the two generator matrices by the
+    sparse word ladder (_word_ladder), with the length-n words truncated to
+    zero.
+
+    >>> labels, gamma = structure_constants(3)
+    >>> labels
+    ('e', '1', '2', '12', '21')
+    >>> gamma[1][1]
+    (0, 2, 0, 0, 0)
     """
     if n < 3:
         raise ValueError("level must be at least 3")
@@ -323,82 +359,54 @@ def structure_constants(n: int):
     size = len(labels)
     index = {lab: i for i, lab in enumerate(labels)}
 
-    def word(first: int, length: int) -> str:
-        return "".join(
-            str(first if k % 2 == 0 else 3 - first) for k in range(length)
-        )
-
     # left multiplication by a generator g on the truncated basis
     def generator_left(g: int) -> list[list[int]]:
         mat = [[0] * size for _ in range(size)]
-
-        def put(target_label, col, coeff=1):
-            mat[index[target_label]][col] += coeff
-
-        put(word(g, 1), index["e"])
+        mat[index[_word(g, 1)]][index["e"]] += 1
         for length in range(1, n):
-            same = word(g, length)
-            put(same, index[same], 2)
-            other = word(3 - g, length)
-            col = index[other]
+            same = index[_word(g, length)]
+            mat[same][same] += 2
+            col = index[_word(3 - g, length)]
             if length + 1 <= n - 1:
-                put(word(g, length + 1), col)
+                mat[index[_word(g, length + 1)]][col] += 1
             if length >= 2:
-                put(word(g, length - 1), col)
+                mat[index[_word(g, length - 1)]][col] += 1
         return mat
 
-    def matmul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(size)) for j in range(size)]
-            for i in range(size)
-        ]
-
-    def matsub(a, b):
-        return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-    ident = [[int(i == j) for j in range(size)] for i in range(size)]
-    left: dict[str, list[list[int]]] = {"e": ident}
-    gen_left = {1: generator_left(1), 2: generator_left(2)}
-    for first in (1, 2):
-        left[word(first, 1)] = gen_left[first]
-    for length in range(2, n):
-        for first in (1, 2):
-            # ladder: L(first, length) = L(first, 1) @ L(other, length - 1)
-            #                            - L(first, length - 2)
-            nxt = matmul(gen_left[first], left[word(3 - first, length - 1)])
-            if length >= 3:
-                nxt = matsub(nxt, left[word(first, length - 2)])
-            left[word(first, length)] = nxt
-    # assemble gamma[i][j][k] = left[label_i][k][j]
-    gamma = []
-    for lab in labels:
-        li = left[lab]
-        gamma.append(
-            tuple(tuple(li[k][j] for k in range(size)) for j in range(size))
-        )
-    tensor = tuple(gamma)
-    for plane in tensor:
-        for row in plane:
-            for c in row:
-                if c < 0:
-                    raise AssertionError("negative structure constant")
+    words = _word_ladder(generator_left(1), generator_left(2), n - 1)
+    ident = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+    # gamma[i][j][k] = L_i[k][j]: each plane is the transpose of L_i
+    tensor = tuple(
+        tuple(zip(*(ident if lab == "e" else words[(int(lab[0]), len(lab))])))
+        for lab in labels
+    )
+    if min(min(row) for plane in tensor for row in plane) < 0:
+        raise AssertionError("negative structure constant")
     return tuple(labels), tensor
 
 
+@lru_cache(maxsize=None)
 def based_algebra_of(n: int) -> BasedAlgebra:
     """The level-n quotient as a based algebra with non-negative structure
-    constants."""
+    constants.  Cached per level, so each level's algebra is built and
+    validated once per process."""
     labels, gamma = structure_constants(n)
     return BasedAlgebra.make(labels, gamma, identity=0)
 
 
 def based_module_of(rep: DihedralRep) -> BasedModule:
-    """The based module on Z^(rows+cols) given by the block action of rep."""
+    """The based module on Z^(rows+cols) given by the block action of rep.
+
+    The action of each alternating word comes from the two generator block
+    matrices by the sparse word ladder (_word_ladder); theta_word_matrix
+    gives the same matrices by the closed form."""
     algebra = based_algebra_of(rep.n)
-    actions = []
-    for lab in algebra.labels:
-        if lab == "e":
-            actions.append(IntMatrix.identity(rep.dimension))
-        else:
-            actions.append(rep.theta(len(lab), int(lab[0])))
-    return BasedModule.make(algebra, tuple(actions))
+    theta_1, theta_2 = theta_generator_matrices(rep.b)
+    words = _word_ladder(theta_1.rows, theta_2.rows, rep.n - 1)
+    actions = [
+        IntMatrix.identity(rep.dimension)
+        if lab == "e"
+        else IntMatrix(words[(int(lab[0]), len(lab))])
+        for lab in algebra.labels
+    ]
+    return BasedModule.make(algebra, actions)

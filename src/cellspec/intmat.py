@@ -270,7 +270,10 @@ def pf_vector(m: IntMatrix, tol: float = 1e-12, max_iter: int = 200000):
 
     Power iteration on M + I (the shift makes the iteration primitive even
     when the digraph of M is periodic); the eigenvalue is the Rayleigh
-    quotient for M itself.
+    quotient for M itself.  The iterates stay positive, since M + I is
+    non-negative with a positive diagonal and the start is positive.
+    Raises ArithmeticError, with the last step's residual, when max_iter
+    steps do not bring successive unit iterates within tol.
     """
     if not is_irreducible_nonneg(m):
         raise ValueError("matrix is not irreducible")
@@ -278,15 +281,19 @@ def pf_vector(m: IntMatrix, tol: float = 1e-12, max_iter: int = 200000):
     n = a.shape[0]
     shifted = a + np.eye(n)
     v = np.ones(n) / np.sqrt(n)
+    residual = float("inf")
     for _ in range(max_iter):
         w = shifted @ v
         w /= np.linalg.norm(w)
-        if np.linalg.norm(w - v) < tol:
-            v = w
-            break
+        residual = float(np.linalg.norm(w - v))
         v = w
-    if np.any(v <= 0):
-        v = np.abs(v)
+        if residual < tol:
+            break
+    else:
+        raise ArithmeticError(
+            f"power iteration did not converge in {max_iter} iterations "
+            f"(residual {residual:.3g}, tolerance {tol:.3g})"
+        )
     lam = float(v @ (a @ v))
     v = v / v.max()
     return lam, v

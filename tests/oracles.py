@@ -7,11 +7,15 @@ determinant, and the equivalence test for 0-1 matrices tries every row and
 column permutation.  The enumerate-then-filter references keep the slow paths
 that direct constructions replaced: J by the braid-orbit filter, edge blocks
 by every raw wiring deduplicated over all column orders, and cells by Tarjan's
-strongly connected components.
+strongly connected components.  The law check of based algebras and modules
+is redone pair by pair in Python ints, and the dihedral structure constants
+by the dense word ladder that the sparse one replaced.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+
+import numpy as np
 
 from cellspec.coxeter import is_reduced, tits_orbit
 from cellspec.fibpoly import IntPolynomial
@@ -440,3 +444,81 @@ def cells_by_tarjan(succ):
         for a in range(len(cells))
     )
     return tuple(cells), leq
+
+
+def law_failure_by_pairs(gamma, acts, labels, what):
+    """Reference for the batched law check of based algebras and modules:
+    the message "<what> fails at (label_i, label_j)" for the first pair
+    (i, j) in row-major order with acts[i] acts[j] differing from
+    sum_k gamma[i][j][k] acts[k], or None when every pair holds.  Plain
+    Python ints, one pair at a time."""
+    n = len(acts)
+    d = len(acts[0])
+    for i in range(n):
+        for j in range(n):
+            product_ij = mat_mul(acts[i], acts[j])
+            combo = tuple(
+                tuple(
+                    sum(gamma[i][j][k] * acts[k][r][c] for k in range(n))
+                    for c in range(d)
+                )
+                for r in range(d)
+            )
+            if product_ij != combo:
+                return f"{what} fails at ({labels[i]}, {labels[j]})"
+    return None
+
+
+def left_multiplications(gamma):
+    """The matrices L_i[k][j] = gamma[i][j][k] of left multiplication by
+    each basis element."""
+    n = len(gamma)
+    return [
+        tuple(tuple(gamma[i][j][k] for j in range(n)) for k in range(n))
+        for i in range(n)
+    ]
+
+
+def structure_constants_by_dense_ladder(n: int):
+    """Reference for dihedral.structure_constants: the dense left
+    multiplication matrices of the two generators on the basis e, 1, 2, 12,
+    21, ... (alternating words of lengths 1..n-1), then the ladder
+    L(g, length) = L(g, 1) L(3-g, length-1) - L(g, length-2) (nothing
+    subtracted at length 2) with full dense int64 products.  Every entry is
+    kept below 2^31, so no product can wrap.  Returns (labels, gamma) with
+    gamma[i][j][k] = L_i[k][j]."""
+
+    def word(first, length):
+        return "".join(str(first if k % 2 == 0 else 3 - first) for k in range(length))
+
+    labels = ["e"] + [word(g, length) for length in range(1, n) for g in (1, 2)]
+    size = len(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+
+    def generator_left(g):
+        mat = np.zeros((size, size), dtype=np.int64)
+        mat[index[word(g, 1)], index["e"]] += 1
+        for length in range(1, n):
+            same = index[word(g, length)]
+            mat[same, same] += 2
+            col = index[word(3 - g, length)]
+            if length + 1 <= n - 1:
+                mat[index[word(g, length + 1)], col] += 1
+            if length >= 2:
+                mat[index[word(g, length - 1)], col] += 1
+        return mat
+
+    left = {"e": np.eye(size, dtype=np.int64)}
+    gen = {g: generator_left(g) for g in (1, 2)}
+    for g in (1, 2):
+        left[word(g, 1)] = gen[g]
+    for length in range(2, n):
+        for g in (1, 2):
+            nxt = gen[g] @ left[word(3 - g, length - 1)]
+            if length >= 3:
+                nxt = nxt - left[word(g, length - 2)]
+            if np.abs(nxt).max() >= 2 ** 31:
+                raise OverflowError("ladder entries outgrew the int64 guard")
+            left[word(g, length)] = nxt
+    gamma = tuple(tuple(map(tuple, left[lab].T.tolist())) for lab in labels)
+    return tuple(labels), gamma

@@ -12,9 +12,11 @@ from cellspec.dihedral import (
     based_algebra_of,
     based_module_of,
     enumerate_B,
+    structure_constants,
+    theta_word_matrix,
 )
 from cellspec.intmat import IntMatrix
-from oracles import cells_by_tarjan
+from oracles import cells_by_tarjan, law_failure_by_pairs, left_multiplications
 
 
 def test_doctests():
@@ -85,6 +87,74 @@ class TestValidation:
         actions = [IntMatrix.identity(1), IntMatrix.from_rows([[big]])]
         with pytest.raises(ValueError, match="module law"):
             BasedModule.make(algebra, actions)
+
+
+def closed_form_actions(n, b):
+    """The block action of every basis element of level n, as row tuples,
+    from the closed form of theta_word_matrix."""
+    d = b.n_rows + b.n_cols
+    return [
+        IntMatrix.identity(d).rows
+        if lab == "e"
+        else theta_word_matrix(b, len(lab), int(lab[0])).rows
+        for lab in structure_constants(n)[0]
+    ]
+
+
+class TestLawCheck:
+    """The batched law check against a pair-by-pair check in Python ints:
+    valid dihedral algebras and modules pass both, and one perturbed entry
+    makes both reject at the same pair with the same message."""
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_dihedral_level_passes_both(self, n):
+        labels, gamma = structure_constants(n)
+        assert law_failure_by_pairs(
+            gamma, left_multiplications(gamma), labels, "associativity"
+        ) is None
+        BasedAlgebra.make(labels, gamma, identity=0)
+        for cand in enumerate_B(n):
+            acts = closed_form_actions(n, cand.matrix)
+            assert law_failure_by_pairs(gamma, acts, labels, "module law") is None
+            BasedModule.make(based_algebra_of(n), [IntMatrix(a) for a in acts])
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_perturbed_algebra_fails_at_the_same_pair(self, data):
+        n = data.draw(st.integers(3, 8))
+        labels, gamma = structure_constants(n)
+        size = len(labels)
+        # off the identity row and column, so that the identity laws hold
+        # and validation reaches the associativity check
+        i, j = data.draw(st.tuples(st.integers(1, size - 1), st.integers(1, size - 1)))
+        k = data.draw(st.integers(0, size - 1))
+        perturbed = [[list(row) for row in plane] for plane in gamma]
+        perturbed[i][j][k] += data.draw(st.integers(1, 3))
+        expected = law_failure_by_pairs(
+            perturbed, left_multiplications(perturbed), labels, "associativity"
+        )
+        assert expected is not None
+        with pytest.raises(ValueError) as excinfo:
+            BasedAlgebra.make(labels, perturbed, identity=0)
+        assert str(excinfo.value) == expected
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_perturbed_module_fails_at_the_same_pair(self, data):
+        n = data.draw(st.integers(3, 8))
+        cand = data.draw(st.sampled_from(enumerate_B(n)))
+        labels, gamma = structure_constants(n)
+        acts = [[list(row) for row in a] for a in closed_form_actions(n, cand.matrix)]
+        d = len(acts[0])
+        # not the identity's action, which validation checks on its own
+        a = data.draw(st.integers(1, len(labels) - 1))
+        r, c = data.draw(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)))
+        acts[a][r][c] += data.draw(st.integers(1, 3))
+        expected = law_failure_by_pairs(gamma, acts, labels, "module law")
+        assert expected is not None
+        with pytest.raises(ValueError) as excinfo:
+            BasedModule.make(based_algebra_of(n), [IntMatrix.from_rows(m) for m in acts])
+        assert str(excinfo.value) == expected
 
 
 class TestCells:

@@ -426,6 +426,21 @@ class TestJsonContract:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["enumerate-b", "--n", "2"],
+            ["dihedral-table", "--n", "-1"],
+            ["cells-of-algebra", "--dihedral-n", "0"],
+            ["apex", "--n", "2", "--matrix", "[[1]]"],
+        ],
+    )
+    def test_level_below_three_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(argv)
+        assert excinfo.value.code == 2
+        assert f"{argv[0]} {argv[1]} must be at least 3" in capsys.readouterr().err
+
     def test_unknown_command(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["no-such-command"])

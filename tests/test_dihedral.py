@@ -1,6 +1,8 @@
 import doctest
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellspec.dihedral as dihedral_module
 from cellspec.dihedral import (
@@ -20,6 +22,7 @@ from cellspec.dihedral import (
 from cellspec.intmat import IntMatrix
 from cellspec.staircase import canonical_form, exceptional, make_staircase
 from frozen import B_LIST_6, B_LIST_8, THETA_1_EXAMPLE, THETA_2_EXAMPLE, X_LEVEL
+from oracles import structure_constants_by_dense_ladder
 
 
 def test_doctests():
@@ -206,6 +209,46 @@ class TestStructureConstants:
     def test_algebras_validate(self):
         for n in range(3, 13):
             based_algebra_of(n).validate()
+
+    def test_matches_the_dense_ladder(self):
+        for n in range(3, 31):
+            assert structure_constants(n) == structure_constants_by_dense_ladder(n), n
+
+    def test_algebra_is_built_once_per_level(self):
+        assert based_algebra_of(7) is based_algebra_of(7)
+
+
+class TestWordLadder:
+    def test_module_actions_match_the_closed_form(self):
+        for n in range(3, 15):
+            for cand in enumerate_B(n):
+                module = based_module_of(DihedralRep(n, cand.matrix))
+                for lab, action in zip(module.algebra.labels, module.actions):
+                    if lab == "e":
+                        assert action == IntMatrix.identity(module.dimension)
+                    else:
+                        want = theta_word_matrix(cand.matrix, len(lab), int(lab[0]))
+                        assert action == want, (n, cand.describe(), lab)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_random_matrices_match_the_closed_form(self, data):
+        r, c = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+        rows = data.draw(
+            st.lists(
+                st.lists(st.integers(0, 2), min_size=c, max_size=c),
+                min_size=r,
+                max_size=r,
+            )
+        )
+        top = data.draw(st.integers(1, 14))
+        b = IntMatrix.from_rows(rows)
+        theta_1, theta_2 = theta_generator_matrices(b)
+        words = dihedral_module._word_ladder(theta_1.rows, theta_2.rows, top)
+        for length in range(1, top + 1):
+            for first in (1, 2):
+                want = theta_word_matrix(b, length, first).rows
+                assert words[(first, length)] == want, (length, first)
 
 
 class TestModules:

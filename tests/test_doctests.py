@@ -1,0 +1,24 @@
+"""Run the docstring examples of every module in the cellspec package, so
+that a module gains doctest coverage as soon as it has an example."""
+
+import doctest
+import importlib
+import pkgutil
+
+import pytest
+
+import cellspec
+
+MODULES = sorted(
+    info.name for info in pkgutil.walk_packages(cellspec.__path__, "cellspec.")
+)
+
+
+@pytest.mark.parametrize("name", ["cellspec", *MODULES])
+def test_module_doctests(name):
+    result = doctest.testmod(importlib.import_module(name))
+    assert result.failed == 0
+
+
+def test_every_module_is_collected():
+    assert {"cellspec.based_algebra", "cellspec.cli", "cellspec.dihedral"} <= set(MODULES)

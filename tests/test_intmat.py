@@ -167,3 +167,12 @@ class TestPerronFrobenius:
             assert abs(np.max(vec) - 1) < 1e-12
             residual = m.to_numpy() @ vec - lam * vec
             assert np.max(np.abs(residual)) < 1e-8
+
+    def test_pf_vector_raises_when_iteration_runs_out(self):
+        # the path on three vertices: the uniform start is no eigenvector,
+        # so one power step cannot converge
+        path = IntMatrix.from_rows([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        with pytest.raises(ArithmeticError, match="residual"):
+            pf_vector(path, max_iter=1)
+        lam, vec = pf_vector(path)
+        assert abs(lam - 2 ** 0.5) < 1e-9
