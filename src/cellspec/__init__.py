@@ -58,7 +58,6 @@ from .fibpoly import (
 )
 from .higher_rank import (
     AssemblyCandidate,
-    QuadraticElement,
     SharedEigenvalue,
     assembly_search,
     assembly_violations,
@@ -111,7 +110,6 @@ __all__ = [
     "MatrixClass",
     "NonBinaryEntryError",
     "NotSimplyLacedDynkinError",
-    "QuadraticElement",
     "ReducibleGramError",
     "SharedEigenvalue",
     "SpectrumOutOfRangeError",

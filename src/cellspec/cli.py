@@ -11,6 +11,7 @@ range spectrum), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -493,6 +494,7 @@ def _add_matrix_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--matrix-file", help="path to a JSON matrix file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cellspec",
@@ -586,8 +588,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "fibpoly" and args.i is None and args.upto is None:
         parser.error("fibpoly needs --i or --upto")
-    if args.command == "fibpoly" and args.upto is not None and args.upto < 0:
-        parser.error("fibpoly --upto must be non-negative")
+    if args.command == "fibpoly":
+        for flag in ("i", "upto"):
+            value = getattr(args, flag)
+            if value is not None and value < 0:
+                parser.error(f"fibpoly --{flag} must be non-negative")
     if args.command == "cells" and args.max_length is not None and args.max_length < 0:
         parser.error("cells --max-length must be non-negative")
     level_flag = _LEVEL_FLAGS.get(args.command)

@@ -15,8 +15,10 @@ assembly_search enumerates size vectors over a tree-shaped diagram and, for
 each edge, builds one block per class modulo permutations of its far slot
 directly from how the atoms split the near slot's rows; it returns the
 candidates up to simultaneous within-slot permutation.  For the
-reflection-representation comparison, exact arithmetic in Q(sqrt 5) supplies
-the characteristic polynomial on the small side.
+reflection-representation comparison in types H3 and H4, the small matrix over
+Z[phi] is written over the integers (each entry a + b*phi as the 2x2 block of
+multiplication by it), so both sides go through the one integer
+characteristic polynomial and the one Sturm root locator.
 """
 
 from __future__ import annotations
@@ -25,151 +27,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .coxeter import CoxeterSystem
-from .fibpoly import fib_f, eval_at_matrix, max_root_bracket
+from .fibpoly import count_roots_in, eval_at_matrix, fib_f, max_root_bracket
 from .intmat import IntMatrix, charpoly, is_irreducible_nonneg, reachable, slot_ranges
-
-
-# --- exact arithmetic in Q(sqrt 5) ----------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadraticElement:
-    """An element a + b*sqrt(5) with rational a, b; exact field arithmetic
-    and exact comparisons.
-
-    >>> phi = QuadraticElement.golden_ratio()
-    >>> (phi * phi - phi - 1).is_zero()
-    True
-    """
-
-    a: Fraction
-    b: Fraction
-
-    @staticmethod
-    def of(a, b=0) -> "QuadraticElement":
-        return QuadraticElement(Fraction(a), Fraction(b))
-
-    @staticmethod
-    def golden_ratio() -> "QuadraticElement":
-        return QuadraticElement(Fraction(1, 2), Fraction(1, 2))
-
-    def conjugate(self) -> "QuadraticElement":
-        return QuadraticElement(self.a, -self.b)
-
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def sign(self) -> int:
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        # opposite signs: compare a^2 against 5 b^2
-        if self.a * self.a > 5 * self.b * self.b:
-            return 1 if self.a > 0 else -1
-        if self.a * self.a < 5 * self.b * self.b:
-            return 1 if self.b > 0 else -1
-        return 0  # unreachable: sqrt(5) is irrational
-
-    def __add__(self, other) -> "QuadraticElement":
-        other = _as_quadratic(other)
-        return QuadraticElement(self.a + other.a, self.b + other.b)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "QuadraticElement":
-        return QuadraticElement(-self.a, -self.b)
-
-    def __sub__(self, other) -> "QuadraticElement":
-        return self + (-_as_quadratic(other))
-
-    def __rsub__(self, other) -> "QuadraticElement":
-        return _as_quadratic(other) + (-self)
-
-    def __mul__(self, other) -> "QuadraticElement":
-        other = _as_quadratic(other)
-        return QuadraticElement(
-            self.a * other.a + 5 * self.b * other.b,
-            self.a * other.b + self.b * other.a,
-        )
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "QuadraticElement":
-        other = _as_quadratic(other)
-        norm = other.a * other.a - 5 * other.b * other.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 5)")
-        return self * QuadraticElement(other.a / norm, -other.b / norm)
-
-    def __lt__(self, other) -> bool:
-        return (self - _as_quadratic(other)).sign() < 0
-
-    def __le__(self, other) -> bool:
-        return (self - _as_quadratic(other)).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        return (self - _as_quadratic(other)).sign() > 0
-
-    def __ge__(self, other) -> bool:
-        return (self - _as_quadratic(other)).sign() >= 0
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * 5 ** 0.5
-
-
-def _as_quadratic(value) -> QuadraticElement:
-    if isinstance(value, QuadraticElement):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return QuadraticElement(Fraction(value), Fraction(0))
-    raise TypeError(f"cannot coerce {value!r} into Q(sqrt 5)")
-
-
-def charpoly_quadratic(rows: list[list[QuadraticElement]]) -> list[QuadraticElement]:
-    """Characteristic polynomial coefficients (ascending) of a square matrix
-    over Q(sqrt 5), by the trace recursion with exact division."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    zero = QuadraticElement.of(0)
-    one = QuadraticElement.of(1)
-
-    def matmul(x, y):
-        return [
-            [
-                sum((x[i][k] * y[k][j] for k in range(n)), zero)
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-
-    def add_scalar_diag(x, s):
-        return [
-            [x[i][j] + (s if i == j else zero) for j in range(n)]
-            for i in range(n)
-        ]
-
-    def trace(x):
-        return sum((x[i][i] for i in range(n)), zero)
-
-    coeffs = [zero] * (n + 1)
-    coeffs[n] = one
-    mk = [row[:] for row in rows]
-    ck = -trace(mk)
-    coeffs[n - 1] = ck
-    for k in range(1, n):
-        mk = matmul(rows, add_scalar_diag(mk, ck))
-        ck = -(trace(mk) * QuadraticElement.of(Fraction(1, k + 1)))
-        coeffs[n - 1 - k] = ck
-    return coeffs
 
 
 # --- reference matrices ----------------------------------------------------------
@@ -278,24 +138,32 @@ def special_modules(name: str) -> list[AssemblyCandidate]:
     raise ValueError(f"no reference candidates stored for {name!r}")
 
 
-def reflection_sign_matrix(name: str) -> list[list[QuadraticElement]]:
-    """The small comparison matrix for H3 (3x3) or H4 (4x4): diagonal 2,
-    with off-diagonal -phi on the order-5 bond and -1 on simple bonds."""
+def reflection_sign_matrix(name: str) -> IntMatrix:
+    """The small comparison matrix for H3 (3x3) or H4 (4x4) over Z[phi], with
+    diagonal 2, -phi on the order-5 bond and -1 on simple bonds, written over
+    the integers: each entry a + b*phi becomes the 2x2 block [[a, b], [b, a + b]]
+    of multiplication by it, so the result is 6x6 or 8x8.  Its eigenvalues
+    are those of the matrix over Z[phi] together with their Galois conjugates.
+
+    >>> reflection_sign_matrix("H3").rows[:2]
+    ((2, 0, 0, -1, 0, 0), (0, 2, -1, -1, 0, 0))
+    """
     token = name.strip().upper()
     if token not in ("H3", "H4"):
         raise ValueError("reflection comparison exists for H3 and H4 only")
     n = 3 if token == "H3" else 4
-    phi = QuadraticElement.golden_ratio()
-    two = QuadraticElement.of(2)
-    zero = QuadraticElement.of(0)
-    one = QuadraticElement.of(1)
-    rows = [[zero for _ in range(n)] for _ in range(n)]
+    entries = [[(0, 0)] * n for _ in range(n)]
     for i in range(n):
-        rows[i][i] = two
-    rows[0][1] = rows[1][0] = -phi
+        entries[i][i] = (2, 0)
+    entries[0][1] = entries[1][0] = (0, -1)
     for i in range(1, n - 1):
-        rows[i][i + 1] = rows[i + 1][i] = -one
-    return rows
+        entries[i][i + 1] = entries[i + 1][i] = (-1, 0)
+    # a + b*phi times 1 is a + b*phi, times phi is b + (a + b)*phi
+    rows = []
+    for row in entries:
+        rows.append(tuple(v for a, b in row for v in (a, b)))
+        rows.append(tuple(v for a, b in row for v in (b, a + b)))
+    return IntMatrix(tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -310,22 +178,31 @@ def shared_top_eigenvalue(name: str, tol: float = 1e-9) -> SharedEigenvalue:
     """The common top eigenvalue of the big candidate matrix and the small
     reflection-side matrix for H3 or H4.
 
-    The big side is located exactly (Sturm bisection on the characteristic
-    polynomial); the small side is the largest real root of the exact
-    Q(sqrt 5) characteristic polynomial.  Raises if they disagree by tol or
-    more.
+    Both characteristic polynomials are exact integer polynomials (the
+    reflection side through reflection_sign_matrix), and each largest root
+    is bracketed by Sturm bisection.  Raises ValueError if the bracket
+    midpoints differ by tol or more, or if the two largest roots are not
+    proved to be one root: a root of their gcd above which neither
+    polynomial has another root.
     """
-    module = special_modules(name)[0].matrix
-    p = charpoly(module)
-    lo, hi = max_root_bracket(p, Fraction(1, 10 ** 12))
-    from_module = float((lo + hi) / 2)
-    coeffs = charpoly_quadratic(reflection_sign_matrix(name))
-    roots = np.roots([float(c) for c in reversed(coeffs)])
-    real_roots = [r.real for r in roots if abs(r.imag) < 1e-9]
-    from_reflection = max(real_roots)
+    width = Fraction(1, 10 ** 12)
+    p = charpoly(special_modules(name)[0].matrix)
+    q = charpoly(reflection_sign_matrix(name))
+    lo_p, hi_p = max_root_bracket(p, width)
+    lo_q, hi_q = max_root_bracket(q, width)
+    from_module = float((lo_p + hi_p) / 2)
+    from_reflection = float((lo_q + hi_q) / 2)
     if abs(from_module - from_reflection) >= tol:
         raise ValueError(
             f"top eigenvalues disagree: {from_module} vs {from_reflection}"
+        )
+    # Above lo the gcd has a root, which is then the one root of p and of q
+    # above lo, hence the largest root of each.
+    lo = max(lo_p, lo_q)
+    if any(count_roots_in(f, lo, None) != 1 for f in (p.gcd(q), p, q)):
+        raise ValueError(
+            f"top eigenvalues {from_module} and {from_reflection} are not "
+            "one common root"
         )
     return SharedEigenvalue(
         name.strip().upper(),

@@ -19,7 +19,6 @@ import numpy as np
 
 from cellspec.coxeter import is_reduced, tits_orbit
 from cellspec.fibpoly import IntPolynomial
-from cellspec.higher_rank import QuadraticElement
 
 
 def totient(n: int) -> int:
@@ -175,30 +174,41 @@ def dihedral_gens(m: int):
 
 def reflection_gens_h3():
     """The geometric realization of the order-120 group with a 5-bond
-    between the first two generators, over the field extended by sqrt(5)."""
-    half = Fraction(1, 2)
-    phi_half = QuadraticElement(Fraction(1, 4), Fraction(1, 4))
-    zero = QuadraticElement.of(0)
-    one = QuadraticElement.of(1)
-    b = [
-        [one, -phi_half, zero],
-        [-phi_half, one, QuadraticElement.of(-half)],
-        [zero, QuadraticElement.of(-half), one],
+    between the first two generators.  Twice its bilinear form has entries
+    2, -2cos(pi/5) = -phi and -2cos(pi/3) = -1, so every generator has
+    entries a + b*phi in Z[phi]; each is written over the integers as the
+    2x2 block [[a, b], [b, a + b]] of multiplication by it on the basis
+    (1, phi), giving 6x6 integer matrices."""
+    # twice the bilinear form, each entry a + b*phi stored as (a, b)
+    two_b = [
+        [(2, 0), (0, -1), (0, 0)],
+        [(0, -1), (2, 0), (-1, 0)],
+        [(0, 0), (-1, 0), (2, 0)],
     ]
+
+    def to_integer_matrix(entries):
+        rows = []
+        for row in entries:
+            rows.append(tuple(v for a, b in row for v in (a, b)))
+            rows.append(tuple(v for a, b in row for v in (b, a + b)))
+        return tuple(rows)
+
+    # s_i(e_j) = e_j - 2B(e_i, e_j) e_i changes only row i of the identity
     mats = []
     for i in range(3):
-        rows = []
-        for j in range(3):
-            row = []
-            for k in range(3):
-                v = one if j == k else zero
-                if j == i:
-                    v = v - (b[i][k] + b[i][k])
-                row.append(v)
-            rows.append(tuple(row))
-        mats.append(tuple(rows))
-    identity = tuple(
-        tuple(one if i == j else zero for j in range(3)) for i in range(3)
+        entries = [
+            [
+                (
+                    int(j == k) - (two_b[i][k][0] if j == i else 0),
+                    -two_b[i][k][1] if j == i else 0,
+                )
+                for k in range(3)
+            ]
+            for j in range(3)
+        ]
+        mats.append(to_integer_matrix(entries))
+    identity = to_integer_matrix(
+        [[(int(j == k), 0) for k in range(3)] for j in range(3)]
     )
     return identity, mats, mat_mul
 

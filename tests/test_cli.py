@@ -84,6 +84,12 @@ class TestFibpoly:
             cli.main(["fibpoly", "--upto", "-3"])
         assert excinfo.value.code == 2
 
+    def test_negative_index_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["fibpoly", "--i", "-1"])
+        assert excinfo.value.code == 2
+        assert "fibpoly --i must be non-negative" in capsys.readouterr().err
+
 
 class TestMatspec:
     def test_cartan_matrix_report(self, capsys):
@@ -450,3 +456,10 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             cli.main([])
         assert excinfo.value.code == 2
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    run_json(capsys, "fibpoly", "--upto", "2")
+    report = run_json(capsys, "fibpoly", "--i", "3")
+    assert report["inputs"] == {"i": 3, "upto": None}

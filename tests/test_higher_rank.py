@@ -1,7 +1,6 @@
 import doctest
 import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -9,13 +8,11 @@ import cellspec.higher_rank as higher_rank_module
 from cellspec.coxeter import CoxeterSystem
 from cellspec.fibpoly import IntPolynomial
 from cellspec.higher_rank import (
-    QuadraticElement,
     _edge_blocks,
     _sizes_feasible,
     assembly_search,
     assembly_violations,
     b_family_matrix,
-    charpoly_quadratic,
     conjugation_canonical,
     rank2_blocks,
     reflection_sign_matrix,
@@ -40,74 +37,6 @@ def test_doctests():
     assert doctest.testmod(higher_rank_module).failed == 0
 
 
-class TestQuadraticElement:
-    def test_arithmetic_matches_floats(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            a = QuadraticElement(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            )
-            b = QuadraticElement(
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-                Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-            )
-            for op in ("add", "sub", "mul"):
-                exact = getattr(a, f"__{op}__")(b)
-                approx = {
-                    "add": float(a) + float(b),
-                    "sub": float(a) - float(b),
-                    "mul": float(a) * float(b),
-                }[op]
-                assert abs(float(exact) - approx) < 1e-9
-
-    def test_division(self):
-        rng = random.Random(12)
-        for _ in range(100):
-            a = QuadraticElement.of(rng.randint(-9, 9), rng.randint(-9, 9))
-            b = QuadraticElement.of(rng.randint(-9, 9), rng.randint(-9, 9))
-            if b.is_zero():
-                continue
-            assert ((a / b) * b - a).is_zero()
-        with pytest.raises(ZeroDivisionError):
-            QuadraticElement.of(1) / QuadraticElement.of(0)
-
-    def test_exact_sign_near_zero(self):
-        # -9 + 4*sqrt(5) is about -0.056: the float route would need care,
-        # the exact route must get it right
-        assert QuadraticElement.of(-9, 4).sign() == -1
-        assert QuadraticElement.of(9, -4).sign() == 1
-        assert QuadraticElement.of(-4, 2).sign() == 1  # 2*sqrt(5) > 4
-        assert QuadraticElement.of(0, 0).sign() == 0
-        assert QuadraticElement.of(0, -1).sign() == -1
-
-    def test_comparisons(self):
-        phi = QuadraticElement.golden_ratio()
-        assert QuadraticElement.of(1) < phi < QuadraticElement.of(2)
-        assert phi * phi == phi + 1
-        assert phi > Fraction(8, 5)
-        assert not phi > Fraction(13, 8)
-
-    def test_conjugate(self):
-        phi = QuadraticElement.golden_ratio()
-        psi = phi.conjugate()
-        assert phi + psi == QuadraticElement.of(1)
-        assert phi * psi == QuadraticElement.of(-1)
-
-    def test_charpoly_quadratic_matches_integer_charpoly(self):
-        rng = random.Random(13)
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-            expected = charpoly(IntMatrix.from_rows(rows))
-            q_rows = [[QuadraticElement.of(v) for v in row] for row in rows]
-            got = charpoly_quadratic(q_rows)
-            assert len(got) == expected.degree + 1
-            for k, coeff in enumerate(got):
-                assert coeff.b == 0
-                assert coeff.a == expected.coeffs[k]
-
-
 class TestReferenceData:
     def test_special_modules_match_frozen(self):
         for name, refs in REFERENCE_ASSEMBLIES.items():
@@ -130,15 +59,21 @@ class TestReferenceData:
             assert assembly_violations(system, cand.sizes, cand.matrix) == []
 
     def test_reflection_sign_matrices(self):
-        phi = QuadraticElement.golden_ratio()
         h3 = reflection_sign_matrix("H3")
-        assert h3[0][0] == QuadraticElement.of(2)
-        assert h3[0][1] == -phi and h3[1][0] == -phi
-        assert h3[1][2] == QuadraticElement.of(-1)
-        assert h3[0][2] == QuadraticElement.of(0)
         h4 = reflection_sign_matrix("H4")
-        assert len(h4) == 4
-        assert h4[2][3] == QuadraticElement.of(-1)
+        assert h3.shape == (6, 6) and h4.shape == (8, 8)
+        for m in (h3, h4):
+            assert m.is_symmetric()
+            # -phi on the order-5 bond, -1 on the simple bonds, 2 on the diagonal
+            assert [list(r[2:4]) for r in m.rows[0:2]] == [[0, -1], [-1, -1]]
+            assert [list(r[4:6]) for r in m.rows[2:4]] == [[-1, 0], [0, -1]]
+            assert [list(r[0:2]) for r in m.rows[0:2]] == [[2, 0], [0, 2]]
+            assert [list(r[4:6]) for r in m.rows[0:2]] == [[0, 0], [0, 0]]
+        assert [list(r[6:8]) for r in h4.rows[4:6]] == [[-1, 0], [0, -1]]
+        for name in ("H3", "H4"):
+            assert charpoly(reflection_sign_matrix(name)) == charpoly(
+                special_modules(name)[0].matrix
+            )
 
 
 class TestVerifier:
@@ -348,3 +283,16 @@ class TestSharedEigenvalue:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             shared_top_eigenvalue("F4")
+
+    def test_different_top_roots_raise(self, monkeypatch):
+        # the H3 reflection side (top root 3.9021) against the H4 module
+        # (top root 3.9890): the brackets disagree, and with a loose tol the
+        # exact check still finds no common top root
+        h3_side = reflection_sign_matrix("H3")
+        monkeypatch.setattr(
+            higher_rank_module, "reflection_sign_matrix", lambda name: h3_side
+        )
+        with pytest.raises(ValueError, match="top eigenvalues disagree"):
+            shared_top_eigenvalue("H4")
+        with pytest.raises(ValueError, match="not one common root"):
+            shared_top_eigenvalue("H4", tol=1.0)
