@@ -17,31 +17,34 @@ two-sided cell that does not act by zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
+from itertools import chain
 
 from .intmat import IntMatrix, is_irreducible_nonneg, pf_vector, reachable
 
 Gamma = tuple[tuple[tuple[int, ...], ...], ...]
 
 
-def _check_law(gamma: np.ndarray, acts: np.ndarray, labels, what: str) -> None:
-    """Check acts[i] @ acts[j] == sum_k gamma[i][j][k] acts[k] for every pair
-    (i, j), with one batched product per i over all j.
+def _check_law(algebra: "BasedAlgebra", acts, what: str) -> None:
+    """Check acts[i] @ acts[j] == sum_k gamma[i][j][k] acts[k] for every j
+    and the rows i in algebra.generators, which imply the rest: acts[i]
+    times all acts side by side against gamma[i] times all acts flattened.
+    On a failure every row is scanned, so the ValueError "<what> fails at
+    (label_i, label_j)" names the first failing pair in row-major order."""
+    n, d = len(acts), acts[0].n_rows
+    wide = IntMatrix(tuple(tuple(chain(*(a.rows[r] for a in acts))) for r in range(d)))
+    flat = IntMatrix(tuple(tuple(chain(*a.rows)) for a in acts))
 
-    gamma has shape (n, n, n) and acts shape (n, d, d), both int64; the
-    caller guarantees that no value on either side overflows.  Raises
-    ValueError "<what> fails at (label_i, label_j)" for the first failing
-    pair in row-major order.
-    """
-    n, d = acts.shape[0], acts.shape[1]
-    flat = acts.reshape(n, d * d)
-    for i in range(n):
-        products = acts[i] @ acts
-        combos = (gamma[i] @ flat).reshape(n, d, d)
-        bad = np.flatnonzero((products != combos).any(axis=(1, 2)))
-        if bad.size:
-            raise ValueError(f"{what} fails at ({labels[i]}, {labels[bad[0]]})")
+    def failures(i: int) -> list[int]:
+        products = (acts[i] @ wide).rows
+        combos = (IntMatrix(algebra.gamma[i]) @ flat).rows
+        blocks = (chain(*(p[j * d:(j + 1) * d] for p in products)) for j in range(n))
+        return [j for j, block in enumerate(blocks) if tuple(block) != combos[j]]
+
+    if any(failures(i) for i in algebra.generators):
+        i = next(i for i in range(n) if failures(i))
+        left, right = algebra.labels[i], algebra.labels[failures(i)[0]]
+        raise ValueError(f"{what} fails at ({left}, {right})")
 
 
 @dataclass(frozen=True)
@@ -55,14 +58,13 @@ class BasedAlgebra:
     identity: int
 
     @staticmethod
-    def make(labels, gamma, identity: int, validate: bool = True) -> "BasedAlgebra":
+    def make(labels, gamma, identity: int) -> "BasedAlgebra":
         labels = tuple(str(x) for x in labels)
         gamma = tuple(
             tuple(tuple(int(c) for c in row) for row in plane) for plane in gamma
         )
         algebra = BasedAlgebra(labels, gamma, identity)
-        if validate:
-            algebra.validate()
+        algebra.validate()
         return algebra
 
     @property
@@ -74,8 +76,7 @@ class BasedAlgebra:
         identity laws and associativity, raising ValueError at the first
         failure.  Associativity compares L_i L_j with
         sum_k gamma[i][j][k] L_k for the left multiplication matrices L_i,
-        in int64 with one batched product per i (see _check_law), after a
-        guard that refuses tensors whose values could reach 2^63."""
+        exactly, for the rows i in generators (see _check_law)."""
         n = self.dimension
         if not (0 <= self.identity < n):
             raise ValueError("identity index out of range")
@@ -84,8 +85,7 @@ class BasedAlgebra:
             for plane in self.gamma
         ):
             raise ValueError("tensor shape mismatch")
-        rows = [row for plane in self.gamma for row in plane]
-        if min(map(min, rows)) < 0:
+        if min(min(row) for plane in self.gamma for row in plane) < 0:
             raise ValueError("negative structure constant")
         e = self.identity
         for j in range(n):
@@ -94,16 +94,47 @@ class BasedAlgebra:
                     raise ValueError("identity fails on the left")
                 if self.gamma[j][e][k] != int(j == k):
                     raise ValueError("identity fails on the right")
-        # associativity via left multiplication operators L_i[k][j] =
-        # gamma[i][j][k]: L_i L_j must equal sum_k gamma[i][j][k] L_k; no
-        # value on either side, partial sums included, exceeds
-        # n * max(gamma)^2 (constants are >= 0)
-        top = max(map(max, rows))
-        if n * top * top >= 2 ** 63:
-            raise ValueError("associativity check would overflow int64")
-        g = np.array(self.gamma, dtype=np.int64)
-        lefts = np.ascontiguousarray(g.transpose(0, 2, 1))
-        _check_law(g, lefts, self.labels, "associativity")
+        # L_i[k][j] = gamma[i][j][k]: each plane transposed
+        lefts = [IntMatrix(tuple(zip(*plane))) for plane in self.gamma]
+        _check_law(self, lefts, "associativity")
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """Basis indices G whose rows of a law check imply every row.
+
+        The x with (x y) z = x (y z) for all y, z form a subspace holding
+        the identity and, once the rows of G pass, closed under left
+        multiplication by G: ((g x) y) z = g ((x y) z) = (g x) (y z).  So G
+        suffices when words in G span the algebra; the same induction gives
+        the module law over an associative algebra.  Walking from the
+        identity, a product g v is kept when its support (nothing cancels:
+        constants are non-negative) has a new index, so kept vectors are
+        independent; the first uncovered index joins G until all are
+        covered.  With fewer than n kept vectors, G is every index."""
+        n = self.dimension
+
+        def times(g: int, support: frozenset) -> frozenset:
+            plane = self.gamma[g]
+            return frozenset(k for j in support for k, c in enumerate(plane[j]) if c)
+
+        kept, covered, gens = [], set(), []
+        pending = [frozenset((self.identity,))]
+        while True:
+            while pending:
+                support = pending.pop(0)
+                if not support <= covered:
+                    covered |= support
+                    kept.append(support)
+                    pending += [times(g, support) for g in gens]
+            if len(covered) == n:
+                return tuple(gens) if len(kept) == n else tuple(range(n))
+            gens.append(min(set(range(n)) - covered))
+            pending = [times(gens[-1], support) for support in kept]
+
+    @cached_property
+    def two_sided_cells(self) -> "CellPartition":
+        """cells("two_sided"), computed once per algebra."""
+        return self.cells("two_sided")
 
     # --- cells -------------------------------------------------------------
 
@@ -186,10 +217,9 @@ class BasedModule:
     actions: tuple[IntMatrix, ...]
 
     @staticmethod
-    def make(algebra: BasedAlgebra, actions, validate: bool = True) -> "BasedModule":
+    def make(algebra: BasedAlgebra, actions) -> "BasedModule":
         module = BasedModule(algebra, tuple(actions))
-        if validate:
-            module.validate()
+        module.validate()
         return module
 
     @property
@@ -198,10 +228,11 @@ class BasedModule:
 
     def validate(self) -> None:
         """Check one square non-negative action per basis element, the
-        identity action and the module law A_i A_j = sum_k gamma[i][j][k] A_k
-        for every pair, raising ValueError at the first failure.  The law is
-        checked in int64 with one batched product per i (see _check_law),
-        after a guard that refuses values that could reach 2^63."""
+        identity action and the module law A_i A_j = sum_k gamma[i][j][k] A_k,
+        raising ValueError at the first failure.  The law is checked
+        exactly, on the rows of the algebra's generators (see _check_law);
+        these imply every row only over an associative algebra, so the
+        algebra must be validated, as BasedAlgebra.make does."""
         n = self.algebra.dimension
         if len(self.actions) != n:
             raise ValueError("one action matrix per basis element required")
@@ -213,15 +244,7 @@ class BasedModule:
                 raise ValueError("negative entry in an action matrix")
         if self.actions[self.algebra.identity] != IntMatrix.identity(d):
             raise ValueError("identity must act as the identity matrix")
-        # A_i A_j must equal sum_k gamma[i][j][k] A_k; the two sides stay
-        # below d * max(A)^2 and n * max(gamma) * max(A)
-        top_a = max((max(row) for m in self.actions for row in m.rows), default=0)
-        top_g = max(max(row) for plane in self.algebra.gamma for row in plane)
-        if max(d * top_a, n * top_g) * top_a >= 2 ** 63:
-            raise ValueError("module law check would overflow int64")
-        acts = np.array([m.to_numpy(dtype=np.int64) for m in self.actions])
-        g = np.array(self.algebra.gamma, dtype=np.int64)
-        _check_law(g, acts, self.algebra.labels, "module law")
+        _check_law(self.algebra, self.actions, "module law")
 
     def total_action(self) -> IntMatrix:
         total = IntMatrix.zeros(self.dimension, self.dimension)
@@ -239,7 +262,7 @@ class BasedModule:
     def apex(self) -> tuple[int, ...]:
         """The unique maximal two-sided cell acting by nonzero matrices,
         as a tuple of basis indices.  Raises when no unique maximum exists."""
-        partition = self.algebra.cells("two_sided")
+        partition = self.algebra.two_sided_cells
         alive = {
             partition.cell_of[i]
             for i, m in enumerate(self.actions)
@@ -250,7 +273,8 @@ class BasedModule:
             raise ValueError("no unique maximal non-annihilating cell")
         return partition.cells[maximal[0]]
 
-    def special_vector(self, tol: float = 1e-12):
+    def special_vector(self):
         """Perron-Frobenius eigenvalue and positive eigenvector (max entry 1)
-        of the summed action matrix; requires transitivity."""
-        return pf_vector(self.total_action(), tol=tol)
+        of the summed action matrix, as by pf_vector; requires
+        transitivity."""
+        return pf_vector(self.total_action())

@@ -359,11 +359,11 @@ def _cmd_special(args) -> int:
         lines.append(f"shared top eigenvalue: {shared.value:.7f}")
     lam, vec = pf_vector(candidates[0].matrix)
     results["top_eigenvalue"] = round(lam, 10)
-    results["positive_eigenvector"] = [round(x, 10) for x in vec.tolist()]
+    results["positive_eigenvector"] = [round(x, 10) for x in vec]
     lines.append(f"top eigenvalue of the first candidate: {lam:.7f}")
     lines.append(
         "positive eigenvector (max entry 1): "
-        + ", ".join(f"{x:.6f}" for x in vec.tolist())
+        + ", ".join(f"{x:.6f}" for x in vec)
     )
     report = {
         "command": "special",

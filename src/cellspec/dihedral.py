@@ -304,35 +304,23 @@ def _basis_labels(n: int) -> list[str]:
     return ["e"] + [_word(first, length) for length in range(1, n) for first in (1, 2)]
 
 
-def _word_ladder(gen_1, gen_2, top: int) -> dict[tuple[int, int], tuple]:
-    """The matrices L(g, length), as row tuples of Python ints, of the
-    alternating words starting with generator g = 1, 2 of lengths 1..top.
-
-    gen_1 and gen_2 are the rows of L(1, 1) and L(2, 1).  The ladder is
+def _word_ladder(gen_1: IntMatrix, gen_2: IntMatrix, top: int) -> dict:
+    """The matrices L(g, length) of the alternating words starting with
+    generator g = 1, 2 of lengths 1..top, keyed by (g, length), from
+    L(1, 1) = gen_1 and L(2, 1) = gen_2 by the ladder
     L(g, length) = L(g, 1) L(3-g, length-1) - L(g, length-2), with nothing
-    subtracted at length 2, and each product runs over the nonzero entries
-    of the generator factor only.
+    subtracted at length 2.
 
-    >>> words = _word_ladder(((2, 1), (0, 0)), ((0, 0), (1, 2)), 3)
-    >>> words[(1, 2)], words[(1, 3)]
+    >>> gen_1, gen_2 = IntMatrix(((2, 1), (0, 0))), IntMatrix(((0, 0), (1, 2)))
+    >>> words = _word_ladder(gen_1, gen_2, 3)
+    >>> words[(1, 2)].rows, words[(1, 3)].rows
     (((1, 2), (0, 0)), ((0, 0), (0, 0)))
     """
-    sparse = {
-        g: [[(k, c) for k, c in enumerate(row) if c] for row in gen]
-        for g, gen in ((1, gen_1), (2, gen_2))
-    }
-    words = {(1, 1): tuple(map(tuple, gen_1)), (2, 1): tuple(map(tuple, gen_2))}
+    words = {(1, 1): gen_1, (2, 1): gen_2}
     for length in range(2, top + 1):
         for g in (1, 2):
-            factor = words[(3 - g, length - 1)]
-            lower = words.get((g, length - 2))
-            rows = []
-            for i, entries in enumerate(sparse[g]):
-                row = [-x for x in lower[i]] if lower else [0] * len(factor[0])
-                for k, c in entries:
-                    row = [a + c * b for a, b in zip(row, factor[k])]
-                rows.append(tuple(row))
-            words[(g, length)] = tuple(rows)
+            word = words[(g, 1)] @ words[(3 - g, length - 1)]
+            words[(g, length)] = word - words[(g, length - 2)] if length > 2 else word
     return words
 
 
@@ -360,7 +348,7 @@ def structure_constants(n: int):
     index = {lab: i for i, lab in enumerate(labels)}
 
     # left multiplication by a generator g on the truncated basis
-    def generator_left(g: int) -> list[list[int]]:
+    def generator_left(g: int) -> IntMatrix:
         mat = [[0] * size for _ in range(size)]
         mat[index[_word(g, 1)]][index["e"]] += 1
         for length in range(1, n):
@@ -371,13 +359,13 @@ def structure_constants(n: int):
                 mat[index[_word(g, length + 1)]][col] += 1
             if length >= 2:
                 mat[index[_word(g, length - 1)]][col] += 1
-        return mat
+        return IntMatrix.from_rows(mat)
 
     words = _word_ladder(generator_left(1), generator_left(2), n - 1)
     ident = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
     # gamma[i][j][k] = L_i[k][j]: each plane is the transpose of L_i
     tensor = tuple(
-        tuple(zip(*(ident if lab == "e" else words[(int(lab[0]), len(lab))])))
+        tuple(zip(*(ident if lab == "e" else words[(int(lab[0]), len(lab))].rows)))
         for lab in labels
     )
     if min(min(row) for plane in tensor for row in plane) < 0:
@@ -402,11 +390,11 @@ def based_module_of(rep: DihedralRep) -> BasedModule:
     gives the same matrices by the closed form."""
     algebra = based_algebra_of(rep.n)
     theta_1, theta_2 = theta_generator_matrices(rep.b)
-    words = _word_ladder(theta_1.rows, theta_2.rows, rep.n - 1)
+    words = _word_ladder(theta_1, theta_2, rep.n - 1)
     actions = [
         IntMatrix.identity(rep.dimension)
         if lab == "e"
-        else IntMatrix(words[(int(lab[0]), len(lab))])
+        else words[(int(lab[0]), len(lab))]
         for lab in algebra.labels
     ]
     return BasedModule.make(algebra, actions)

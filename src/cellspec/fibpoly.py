@@ -519,9 +519,12 @@ class _MaxRootBisection:
     """Bisection of (-B, B], B = root_bound(p), towards the largest real root
     of p.  The bracket (a, b] always holds that root, so no root lies above b
     and the chain's variation count at b stays what it was at B: each step
-    evaluates the chain only at the midpoint.  Refining to a smaller width
-    continues from the current bracket, which takes the same midpoints as
-    starting again from the root bound."""
+    evaluates the chain only at the midpoint.  Once (a, b] holds no other
+    root, the squarefree part chain[0] (positive leading coefficient) is
+    negative on (a, root) and positive above, so its sign at the midpoint
+    alone decides the step.  Refining to a smaller width continues from the
+    current bracket, which takes the same midpoints as starting again from
+    the root bound."""
 
     def __init__(self, p: IntPolynomial):
         if count_real_roots(p) == 0:
@@ -530,12 +533,17 @@ class _MaxRootBisection:
         self.b = root_bound(p)
         self.a = -self.b
         self.v_b = _variations_at(self.chain, self.b)
+        self.v_a = _variations_at(self.chain, self.a)
 
     def refine(self, width: Fraction) -> tuple[Fraction, Fraction]:
         while self.b - self.a > width:
             mid = (self.a + self.b) / 2
-            if _variations_at(self.chain, mid) > self.v_b:  # a root in (mid, b]
-                self.a = mid
+            if self.v_a == self.v_b + 1:  # (a, b] holds no other root
+                v_mid = self.v_a if _sign_at(self.chain[0], mid) < 0 else self.v_b
+            else:
+                v_mid = _variations_at(self.chain, mid)
+            if v_mid > self.v_b:  # a root in (mid, b]
+                self.a, self.v_a = mid, v_mid
             else:
                 self.b = mid
         return self.a, self.b

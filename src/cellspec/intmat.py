@@ -4,8 +4,9 @@ The core object is an immutable IntMatrix over Z.  Characteristic polynomials
 are computed by the Faddeev-LeVerrier recursion (exact integer arithmetic),
 minimal polynomials of symmetric matrices come from the squarefree part of the
 characteristic polynomial, and root location in intervals is delegated to the
-Sturm machinery in fibpoly.  The only float code is the Perron-Frobenius
-eigenvector helper, which explicitly returns floats.
+Sturm machinery in fibpoly.  Products run over the nonzero entries of the
+left factor.  The Perron-Frobenius helper is exact too: it returns floats,
+each the double nearest to an exact algebraic value.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .fibpoly import IntPolynomial, _sign_at, count_roots_in, squarefree_part
+from .fibpoly import (
+    IntPolynomial, _MaxRootBisection, _sign_at, count_roots_in, squarefree_part
+)
 
 
 @dataclass(frozen=True)
@@ -102,13 +103,15 @@ class IntMatrix:
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.n_cols != other.n_rows:
             raise ValueError("inner dimension mismatch")
-        cols = other.transpose().rows
-        return IntMatrix(
-            tuple(
-                tuple(sum(a * b for a, b in zip(row, col)) for col in cols)
-                for row in self.rows
-            )
-        )
+        zero = (0,) * other.n_cols
+        product = []
+        for row in self.rows:
+            acc = zero
+            for c, other_row in zip(row, other.rows):
+                if c:
+                    acc = tuple([a + c * b for a, b in zip(acc, other_row)])
+            product.append(acc)
+        return IntMatrix(tuple(product))
 
     def trace(self) -> int:
         if not self.is_square():
@@ -120,9 +123,6 @@ class IntMatrix:
 
     def is_zero(self) -> bool:
         return all(c == 0 for row in self.rows for c in row)
-
-    def to_numpy(self, dtype=float) -> np.ndarray:
-        return np.array([list(row) for row in self.rows], dtype=dtype)
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
@@ -263,37 +263,57 @@ def spectrum_in_range(m: IntMatrix, lo, hi) -> bool:
     return count_roots_in(p, hi, None) == 0
 
 
-def pf_vector(m: IntMatrix, tol: float = 1e-12, max_iter: int = 200000):
-    """Perron-Frobenius data of an irreducible non-negative symmetric-ish
-    matrix: (eigenvalue, eigenvector) as floats, eigenvector positive with
-    unit max entry.
+def pf_vector(m: IntMatrix) -> tuple[float, tuple[float, ...]]:
+    """Perron-Frobenius data of an irreducible non-negative matrix: the
+    eigenvalue and the positive eigenvector with max entry 1, each value
+    the double nearest to the exact one.
 
-    Power iteration on M + I (the shift makes the iteration primitive even
-    when the digraph of M is periodic); the eigenvalue is the Rayleigh
-    quotient for M itself.  The iterates stay positive, since M + I is
-    non-negative with a positive diagonal and the start is positive.
-    Raises ArithmeticError, with the last step's residual, when max_iter
-    steps do not bring successive unit iterates within tol.
+    The eigenvalue lam, a simple root of charpoly(m), is bracketed by Sturm
+    bisection.  The first column of adj(xI - M), positive at lam, is
+    sum_k u_k x^(n-1-k) with u_0 = e_0, u_k = M u_(k-1) + c_k e_0 and c_k
+    the x^(n-k) coefficient of charpoly(m).  Its entries are enclosed by
+    interval Horner evaluation on the bracket, which is narrowed until
+    every value has one nearest double.
+
+    >>> lam, vec = pf_vector(IntMatrix.from_rows([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+    >>> round(lam, 10), [round(x, 10) for x in vec]
+    (1.4142135624, [0.7071067812, 1.0, 0.7071067812])
     """
     if not is_irreducible_nonneg(m):
         raise ValueError("matrix is not irreducible")
-    a = m.to_numpy(dtype=float)
-    n = a.shape[0]
-    shifted = a + np.eye(n)
-    v = np.ones(n) / np.sqrt(n)
-    residual = float("inf")
-    for _ in range(max_iter):
-        w = shifted @ v
-        w /= np.linalg.norm(w)
-        residual = float(np.linalg.norm(w - v))
-        v = w
-        if residual < tol:
-            break
-    else:
-        raise ArithmeticError(
-            f"power iteration did not converge in {max_iter} iterations "
-            f"(residual {residual:.3g}, tolerance {tol:.3g})"
-        )
-    lam = float(v @ (a @ v))
-    v = v / v.max()
-    return lam, v
+    n = m.n_rows
+    p = charpoly(m)
+    u = (1,) + (0,) * (n - 1)
+    column = [u]
+    for k in range(1, n):
+        u = [sum(a * b for a, b in zip(row, u)) for row in m.rows]
+        u[0] += p.coeffs[n - k]
+        column.append(u)
+    entries = list(zip(*column))  # entry i: its coefficients, top degree first
+    bisection = _MaxRootBisection(p)
+    width = Fraction(1)
+    while True:
+        a, b = bisection.refine(width)
+        width /= 2 ** 16
+        lows, highs = zip(*(_horner_enclosure(coeffs, a, b) for coeffs in entries))
+        if float(a) == float(b) and min(lows) > 0:
+            vec = tuple(low / max(highs) for low in lows)  # ratios from below
+            if vec == tuple(high / max(lows) for high in highs):  # and from above
+                return float(b), vec
+
+
+def _horner_enclosure(coeffs, a: Fraction, b: Fraction) -> tuple[int, int]:
+    """Integers lo <= hi with q^d f(x) in [lo, hi] for all x in [a, b], f of
+    degree d with the given coefficients, top degree first, and
+    q = a.denominator * b.denominator: the homogeneous Horner sum of
+    _sign_at, with x q running over the interval [a q, b q]."""
+    q = a.denominator * b.denominator
+    ends = (a.numerator * b.denominator, b.numerator * a.denominator)
+    lo = hi = coeffs[0]
+    q_power = 1
+    for c in coeffs[1:]:
+        q_power *= q
+        products = [lo * x for x in ends] + [hi * x for x in ends]
+        lo = min(products) + c * q_power
+        hi = max(products) + c * q_power
+    return lo, hi

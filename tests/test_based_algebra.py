@@ -78,15 +78,55 @@ class TestValidation:
         with pytest.raises(ValueError, match="associativity"):
             BasedAlgebra.make(["e", "x", "y"], gamma, identity=0)
 
-    def test_module_check_refuses_int64_overflow(self):
+    def test_module_check_is_exact_beyond_int64(self):
         # x*x = 2^32 x acting on Z by 2^32: both sides of the module law
-        # reach 2^64.
+        # reach 2^64, and they agree; acting by 2^32 + 1 breaks the law.
         big = 2 ** 32
         gamma = [[[1, 0], [0, 1]], [[0, 1], [0, big]]]
-        algebra = BasedAlgebra.make(["e", "x"], gamma, identity=0, validate=False)
-        actions = [IntMatrix.identity(1), IntMatrix.from_rows([[big]])]
-        with pytest.raises(ValueError, match="module law"):
+        algebra = BasedAlgebra.make(["e", "x"], gamma, identity=0)
+        BasedModule.make(algebra, [IntMatrix.identity(1), IntMatrix.from_rows([[big]])])
+        actions = [IntMatrix.identity(1), IntMatrix.from_rows([[big + 1]])]
+        with pytest.raises(ValueError, match=r"module law fails at \(x, x\)"):
             BasedModule.make(algebra, actions)
+
+
+def four_element_gamma():
+    """e, x, y, z with x^2 = y + z and every other product of non-identity
+    elements zero: associative, and the walk from e keeps only e, x and
+    y + z, three independent vectors for four basis elements."""
+    gamma = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for j in range(4):
+        gamma[0][j][j] = gamma[j][0][j] = 1
+    gamma[1][1] = [0, 0, 1, 1]
+    return gamma
+
+
+class TestGenerators:
+    def test_dihedral_levels_are_generated_by_1_and_2(self):
+        for n in range(3, 31):
+            algebra = based_algebra_of(n)
+            assert tuple(algebra.labels[i] for i in algebra.generators) == ("1", "2")
+
+    def test_fallback_checks_every_row(self):
+        labels = ["e", "x", "y", "z"]
+        algebra = BasedAlgebra.make(labels, four_element_gamma(), identity=0)
+        assert algebra.generators == (0, 1, 2, 3)
+        # the walk adds only x to G; perturb y*z, off the row of x
+        for k in range(4):
+            perturbed = four_element_gamma()
+            perturbed[2][3][k] += 1
+            expected = law_failure_by_pairs(
+                perturbed, left_multiplications(perturbed), labels, "associativity"
+            )
+            assert expected is not None
+            with pytest.raises(ValueError) as excinfo:
+                BasedAlgebra.make(labels, perturbed, identity=0)
+            assert str(excinfo.value) == expected
+
+    def test_two_sided_cells_are_computed_once(self):
+        algebra = based_algebra_of(7)
+        assert algebra.two_sided_cells is algebra.two_sided_cells
+        assert algebra.two_sided_cells == algebra.cells("two_sided")
 
 
 def closed_form_actions(n, b):
@@ -264,8 +304,9 @@ class TestModules:
                 module = based_module_of(DihedralRep(n, cand.matrix))
                 lam, vec = module.special_vector()
                 assert lam > 0
+                vec = np.array(vec)
                 assert np.all(vec > 0)
-                total = module.total_action().to_numpy()
+                total = np.array(module.total_action().rows, dtype=float)
                 residual = total @ vec - lam * vec
                 assert np.max(np.abs(residual)) < 1e-8
 

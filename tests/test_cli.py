@@ -7,6 +7,10 @@ message on stderr; usage errors exit with code 2 via argparse.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -463,3 +467,17 @@ def test_parser_is_built_once_and_keeps_no_state(capsys):
     run_json(capsys, "fibpoly", "--upto", "2")
     report = run_json(capsys, "fibpoly", "--i", "3")
     assert report["inputs"] == {"i": 3, "upto": None}
+
+
+def test_import_does_not_load_numpy():
+    # a fresh interpreter, so that no test's own numpy import is seen, on
+    # the package these tests import
+    source = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(source)}
+    code = "import sys, cellspec.cli as c; print(c.__file__, 'numpy' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    out = run.stdout.split()
+    assert out == [cli.__file__, "False"]

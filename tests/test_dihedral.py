@@ -244,10 +244,10 @@ class TestWordLadder:
         top = data.draw(st.integers(1, 14))
         b = IntMatrix.from_rows(rows)
         theta_1, theta_2 = theta_generator_matrices(b)
-        words = dihedral_module._word_ladder(theta_1.rows, theta_2.rows, top)
+        words = dihedral_module._word_ladder(theta_1, theta_2, top)
         for length in range(1, top + 1):
             for first in (1, 2):
-                want = theta_word_matrix(b, length, first).rows
+                want = theta_word_matrix(b, length, first)
                 assert words[(first, length)] == want, (length, first)
 
 

@@ -21,6 +21,7 @@ from cellspec.fibpoly import (
     fib_irreducible_factor,
     max_root_bracket,
     max_root_strictly_less,
+    root_bound,
     squarefree_part,
     sturm_chain,
 )
@@ -254,6 +255,28 @@ class TestSturm:
         for i in range(3, 31):
             p = fib_irreducible_factor(i)
             assert max_root_bracket(p, width) == max_root_bracket_by_bisection(p, width), i
+
+    def test_brackets_with_repeated_roots_match_plain_bisection(self):
+        # once the top root is isolated, bisection steps on the sign of the
+        # squarefree part: repeated roots, at the top or below it, and
+        # rational roots on a midpoint must leave every bracket unchanged
+        rng = random.Random(11)
+        for _ in range(80):
+            p = IntPolynomial.one()
+            for _ in range(rng.randint(1, 4)):
+                factor = IntPolynomial((-rng.randint(-9, 9), rng.randint(1, 3)))
+                for _ in range(rng.randint(1, 3)):
+                    p = p * factor
+            width = Fraction(1, 10 ** rng.randint(1, 12))
+            # bisection of (-B, B] by a root count in the upper half
+            lo, hi = -root_bound(p), root_bound(p)
+            while hi - lo > width:
+                mid = (lo + hi) / 2
+                if count_roots_in(p, mid, hi):
+                    lo = mid
+                else:
+                    hi = mid
+            assert max_root_bracket(p, width) == (lo, hi), (p, width)
 
     def test_max_root_bracket_with_repeated_interior_root(self):
         # A double root below the top root must not derail the bracketing.

@@ -2,11 +2,13 @@ import doctest
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 import cellspec.intmat as intmat_module
 from cellspec.fibpoly import IntPolynomial
+from cellspec.higher_rank import special_modules
 from cellspec.intmat import (
     IntMatrix,
     charpoly,
@@ -47,10 +49,10 @@ class TestBasics:
             b = IntMatrix.from_rows(
                 [[rng.randint(-5, 5) for _ in range(c)] for _ in range(k)]
             )
-            prod = (a @ b).to_numpy()
-            assert np.array_equal(prod, a.to_numpy() @ b.to_numpy())
+            prod = np.array((a @ b).rows)
+            assert np.array_equal(prod, np.array(a.rows) @ np.array(b.rows))
             assert np.array_equal(
-                a.transpose().to_numpy(), a.to_numpy().T
+                np.array(a.transpose().rows), np.array(a.rows).T
             )
         a = IntMatrix.from_rows([[1, 2], [3, 4]])
         b = IntMatrix.from_rows([[5, 6], [7, 8]])
@@ -122,7 +124,7 @@ class TestSpectrum:
                 [raw[i][j] + raw[j][i] for j in range(n)] for i in range(n)
             ]
             m = IntMatrix.from_rows(sym)
-            eigs = np.linalg.eigvalsh(m.to_numpy())
+            eigs = np.linalg.eigvalsh(np.array(m.rows, dtype=float))
             # stay away from numerically ambiguous boundary cases
             if np.any(np.abs(eigs) < 1e-9) or np.any(np.abs(eigs - 4) < 1e-9):
                 continue
@@ -161,18 +163,40 @@ class TestPerronFrobenius:
             if not is_irreducible_nonneg(m):
                 continue
             lam, vec = pf_vector(m)
-            eigs = np.linalg.eigvalsh(m.to_numpy())
+            vec = np.array(vec)
+            eigs = np.linalg.eigvalsh(np.array(m.rows, dtype=float))
             assert abs(lam - eigs[-1]) < 1e-8
             assert np.all(vec > 0)
             assert abs(np.max(vec) - 1) < 1e-12
-            residual = m.to_numpy() @ vec - lam * vec
+            residual = np.array(m.rows, dtype=float) @ vec - lam * vec
             assert np.max(np.abs(residual)) < 1e-8
 
-    def test_pf_vector_raises_when_iteration_runs_out(self):
-        # the path on three vertices: the uniform start is no eigenvector,
-        # so one power step cannot converge
+    def test_pf_vector_is_exact(self):
+        # the path on three vertices: sqrt 2 and (1/sqrt 2, 1, 1/sqrt 2),
+        # each as its nearest double
         path = IntMatrix.from_rows([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
-        with pytest.raises(ArithmeticError, match="residual"):
-            pf_vector(path, max_iter=1)
         lam, vec = pf_vector(path)
-        assert abs(lam - 2 ** 0.5) < 1e-9
+        assert round(lam, 10) == 1.4142135624
+        assert [round(x, 10) for x in vec] == [0.7071067812, 1.0, 0.7071067812]
+        with mpmath.workdps(50):
+            half = float(1 / mpmath.sqrt(2))
+            assert lam == float(mpmath.sqrt(2))
+            assert vec == (half, 1.0, half)
+
+    @pytest.mark.parametrize("name", ["H3", "H4", "B5"])
+    def test_golden_entry_against_mpmath(self, name):
+        # 1/phi = 0.61803398874989... is an entry of each of these vectors;
+        # it rounds to 0.6180339887 at ten digits
+        lam, vec = pf_vector(special_modules(name)[0].matrix)
+        rows = special_modules(name)[0].matrix.to_lists()
+        with mpmath.workdps(50):
+            values, vectors = mpmath.eigsy(mpmath.matrix(rows))
+            top = max(range(len(rows)), key=lambda i: values[i])
+            column = [vectors[i, top] for i in range(len(rows))]
+            peak = max(column, key=abs)
+            assert lam == float(values[top])
+            assert vec == tuple(float(x / peak) for x in column)
+            golden = float(2 / (1 + mpmath.sqrt(5)))
+        assert round(golden, 10) == 0.6180339887
+        assert golden in vec
+        assert 0.6180339887 in [round(x, 10) for x in vec]
