@@ -141,16 +141,16 @@ class BasedAlgebra:
     def _one_step(self, side: str) -> list[set[int]]:
         """succ[j] = basis elements reachable from j in one multiplication
         step on the given side."""
-        n = self.dimension
-        succ: list[set[int]] = [set() for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if self.gamma[i][j][k]:
-                        if side in ("left", "two_sided"):
-                            succ[j].add(k)
-                        if side in ("right", "two_sided"):
-                            succ[i].add(k)
+        left = side in ("left", "two_sided")
+        right = side in ("right", "two_sided")
+        succ: list[set[int]] = [set() for _ in range(self.dimension)]
+        for i, plane in enumerate(self.gamma):
+            for j, row in enumerate(plane):
+                support = [k for k, c in enumerate(row) if c]
+                if left:
+                    succ[j].update(support)
+                if right:
+                    succ[i].update(support)
         return succ
 
     def cells(self, side: str) -> "CellPartition":

@@ -85,8 +85,14 @@ def _poly_json(p) -> dict:
     return {"coeffs": list(p.coeffs), "text": str(p)}
 
 
-def _emit(args, report: dict, lines) -> None:
+def _emit(args, inputs, results, anchors, lines) -> None:
     if args.json:
+        report = {
+            "command": args.command,
+            "inputs": inputs,
+            "results": results,
+            "paper_anchors": anchors,
+        }
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
     else:
         for line in lines:
@@ -111,12 +117,6 @@ def _cmd_cells(args) -> int:
         "elements": [_word_text(w, rank) for w in table.elements],
         "boxes": boxes,
     }
-    report = {
-        "command": "cells",
-        "inputs": {"type": args.type, "max_length": args.max_length},
-        "results": results,
-        "paper_anchors": [f"cell-table:{system.name}"],
-    }
     lines = [f"unique-expression elements of {system.name}: {table.size}"]
     for i in system.generators:
         for j in system.generators:
@@ -124,7 +124,8 @@ def _cmd_cells(args) -> int:
             if box:
                 words = ", ".join(str(_word_text(w, rank)) for w in box)
                 lines.append(f"R{i} x L{j}: {words}")
-    _emit(args, report, lines)
+    inputs = {"type": args.type, "max_length": args.max_length}
+    _emit(args, inputs, results, [f"cell-table:{system.name}"], lines)
     return 0
 
 
@@ -153,14 +154,8 @@ def _cmd_fibpoly(args) -> int:
             f"i={i}: f = {f}; g = {g}; fbar = {fbar}; "
             f"substitution identity {'holds' if ok else 'FAILS'}"
         )
-    report = {
-        "command": "fibpoly",
-        "inputs": {"i": args.i, "upto": args.upto},
-        "results": rows,
-        "paper_anchors": ["polynomial-family:f", "polynomial-family:g",
-                          "factor-table"],
-    }
-    _emit(args, report, lines)
+    anchors = ["polynomial-family:f", "polynomial-family:g", "factor-table"]
+    _emit(args, {"i": args.i, "upto": args.upto}, rows, anchors, lines)
     return 0
 
 
@@ -194,13 +189,7 @@ def _cmd_matspec(args) -> int:
     except ValueError:
         results["dihedral_level"] = None
         lines.append("smallest annihilating level: none up to 120")
-    report = {
-        "command": "matspec",
-        "inputs": {"matrix": _matrix_json(m)},
-        "results": results,
-        "paper_anchors": ["spectral-report"],
-    }
-    _emit(args, report, lines)
+    _emit(args, {"matrix": _matrix_json(m)}, results, ["spectral-report"], lines)
     return 0
 
 
@@ -215,13 +204,8 @@ def _cmd_classify_matrix(args) -> int:
         "representative": _matrix_json(mc.matrix),
         "description": mc.describe(),
     }
-    report = {
-        "command": "classify-matrix",
-        "inputs": {"matrix": _matrix_json(m)},
-        "results": results,
-        "paper_anchors": ["classification-under-4"],
-    }
-    _emit(args, report, [f"class: {mc.describe()}"])
+    _emit(args, {"matrix": _matrix_json(m)}, results, ["classification-under-4"],
+          [f"class: {mc.describe()}"])
     return 0
 
 
@@ -240,17 +224,6 @@ def _cmd_oracle_under4(args) -> int:
         "classes": [_matrix_json(m) for m in classes],
         "matches_expected_families": found == expected,
     }
-    report = {
-        "command": "oracle-under4",
-        "inputs": {
-            "rows": args.rows,
-            "cols": args.cols,
-            "max_entry": args.max_entry,
-            "prefilter": not args.no_prefilter,
-        },
-        "results": results,
-        "paper_anchors": ["exhaustive-search-under-4"],
-    }
     lines = [f"classes with Gram spectrum in [0, 4): {len(classes)}"]
     for m in classes:
         lines.append("  " + json.dumps(m.to_lists()))
@@ -258,7 +231,13 @@ def _cmd_oracle_under4(args) -> int:
         "matches the expected families: "
         + ("yes" if results["matches_expected_families"] else "NO")
     )
-    _emit(args, report, lines)
+    inputs = {
+        "rows": args.rows,
+        "cols": args.cols,
+        "max_entry": args.max_entry,
+        "prefilter": not args.no_prefilter,
+    }
+    _emit(args, inputs, results, ["exhaustive-search-under-4"], lines)
     return 0
 
 
@@ -275,16 +254,11 @@ def _cmd_enumerate_b(args) -> int:
         }
         for c in candidates
     ]
-    report = {
-        "command": "enumerate-b",
-        "inputs": {"n": args.n},
-        "results": results,
-        "paper_anchors": [f"dihedral-candidates:level-{args.n}"],
-    }
     lines = [f"candidates at level {args.n}: {len(candidates)}"]
     for c in candidates:
         lines.append(f"  {c.describe()}: {json.dumps(c.matrix.to_lists())}")
-    _emit(args, report, lines)
+    _emit(args, {"n": args.n}, results, [f"dihedral-candidates:level-{args.n}"],
+          lines)
     return 0
 
 
@@ -293,12 +267,6 @@ def _cmd_dihedral_table(args) -> int:
     results = {"labels": list(labels), "gamma": [
         [list(row) for row in plane] for plane in gamma
     ]}
-    report = {
-        "command": "dihedral-table",
-        "inputs": {"n": args.n},
-        "results": results,
-        "paper_anchors": [f"dihedral-algebra:level-{args.n}"],
-    }
     lines = [f"basis of the level-{args.n} algebra: {', '.join(labels)}"]
     size = len(labels)
     for i in range(size):
@@ -312,7 +280,7 @@ def _cmd_dihedral_table(args) -> int:
                 lab if c == 1 else f"{c}*{lab}" for c, lab in terms
             ) or "0"
             lines.append(f"{labels[i]} * {labels[j]} = {text}")
-    _emit(args, report, lines)
+    _emit(args, {"n": args.n}, results, [f"dihedral-algebra:level-{args.n}"], lines)
     return 0
 
 
@@ -324,20 +292,15 @@ def _cmd_verify_rank3(args) -> int:
         system, sizes, m, require_size_multiple=args.require_size_multiple
     )
     results = {"valid": not problems, "violations": problems}
-    report = {
-        "command": "verify-rank3",
-        "inputs": {
-            "type": system.name,
-            "sizes": list(sizes),
-            "matrix": _matrix_json(m),
-            "require_size_multiple": args.require_size_multiple,
-        },
-        "results": results,
-        "paper_anchors": [f"assembly-check:{system.name}"],
-    }
     lines = ["valid candidate" if not problems else "not a candidate:"]
     lines += [f"  {p}" for p in problems]
-    _emit(args, report, lines)
+    inputs = {
+        "type": system.name,
+        "sizes": list(sizes),
+        "matrix": _matrix_json(m),
+        "require_size_multiple": args.require_size_multiple,
+    }
+    _emit(args, inputs, results, [f"assembly-check:{system.name}"], lines)
     return 0
 
 
@@ -365,14 +328,10 @@ def _cmd_special(args) -> int:
         "positive eigenvector (max entry 1): "
         + ", ".join(f"{x:.6f}" for x in vec)
     )
-    report = {
-        "command": "special",
-        "inputs": {"type": args.type},
-        "results": results,
-        "paper_anchors": [f"special-candidates:{token}"]
-        + ([f"shared-eigenvalue:{token}"] if token in ("H3", "H4") else []),
-    }
-    _emit(args, report, lines)
+    anchors = [f"special-candidates:{token}"]
+    if token in ("H3", "H4"):
+        anchors.append(f"shared-eigenvalue:{token}")
+    _emit(args, {"type": args.type}, results, anchors, lines)
     return 0
 
 
@@ -396,12 +355,6 @@ def _cmd_quiver(args) -> int:
             for v in range(1, z.n_vertices + 1)
         },
     }
-    report = {
-        "command": "quiver",
-        "inputs": {"matrix": _matrix_json(m)},
-        "results": results,
-        "paper_anchors": ["zigzag-algebra", "dynkin-classification"],
-    }
     lines = [
         f"graph: {z.n_vertices} vertices, edges {list(z.edges)}",
         f"algebra dimension: {z.total_dimension()}",
@@ -412,7 +365,8 @@ def _cmd_quiver(args) -> int:
             ",".join(str(x) for x in layer) for layer in z.loewy_layers(v)
         )
         lines.append(f"projective at {v}: {layers}")
-    _emit(args, report, lines)
+    anchors = ["zigzag-algebra", "dynkin-classification"]
+    _emit(args, {"matrix": _matrix_json(m)}, results, anchors, lines)
     return 0
 
 
@@ -445,13 +399,7 @@ def _cmd_cells_of_algebra(args) -> int:
         lines.append(f"{side} cells: " + " | ".join(
             "{" + ", ".join(cell) + "}" for cell in cells
         ))
-    report = {
-        "command": "cells-of-algebra",
-        "inputs": source,
-        "results": results,
-        "paper_anchors": ["cell-partition"],
-    }
-    _emit(args, report, lines)
+    _emit(args, source, results, ["cell-partition"], lines)
     return 0
 
 
@@ -469,12 +417,6 @@ def _cmd_apex(args) -> int:
         "annihilated": [labels[i] for i in module.annihilated()],
         "minimal_level": rep.has_minimal_level,
     }
-    report = {
-        "command": "apex",
-        "inputs": {"n": args.n, "matrix": _matrix_json(m)},
-        "results": results,
-        "paper_anchors": [f"module-apex:level-{n}"],
-    }
     lines = [
         f"level: {n}",
         f"transitive: {'yes' if results['transitive'] else 'no'}",
@@ -482,7 +424,8 @@ def _cmd_apex(args) -> int:
         "annihilated basis elements: "
         + (", ".join(results["annihilated"]) or "none"),
     ]
-    _emit(args, report, lines)
+    inputs = {"n": args.n, "matrix": _matrix_json(m)}
+    _emit(args, inputs, results, [f"module-apex:level-{n}"], lines)
     return 0
 
 

@@ -14,10 +14,11 @@ obtained from f_i by exact division.  For i > 2 the roots of fbar_i are
 largest root increases strictly with i, approaching 4.
 
 Everything here is exact: coefficients are Python ints and no floats appear
-anywhere.  Root counting uses Sturm chains of primitive integer polynomials,
-built once per polynomial and cached by coefficient tuple; the sign of a
-chain member at a rational point n/q is decided in integers, and bisection
-endpoints are Fractions.
+anywhere.  Euclid runs in Z[x]: gcds and Sturm chains are built from
+primitive pseudo-remainders, so Fractions appear only as bisection points
+and root bounds.  Root counting uses Sturm chains of primitive integer
+polynomials, built once per polynomial and cached by coefficient tuple; the
+sign of a chain member at a rational point n/q is decided in integers.
 """
 
 from __future__ import annotations
@@ -202,19 +203,12 @@ class IntPolynomial:
         return IntPolynomial(tuple(c // g for c in self.coeffs))
 
     def gcd(self, other: "IntPolynomial") -> "IntPolynomial":
-        """Primitive gcd in Z[x] with positive leading coefficient.
-
-        Computed by the Euclidean algorithm over Q followed by clearing
-        denominators; degrees in this package are small enough that
-        coefficient growth is a non-issue.
-        """
-        a = [Fraction(c) for c in self.coeffs]
-        b = [Fraction(c) for c in other.coeffs]
-        while any(b):
-            a, b = b, _frac_rem(a, b)
-        if not any(a):
-            return IntPolynomial()
-        return _frac_to_primitive(a).primitive_part()
+        """Primitive gcd in Z[x] with positive leading coefficient (0 when
+        both are 0), by Euclid on primitive pseudo-remainders."""
+        a, b = self, other
+        while b:
+            a, b = b, _primitive_rem(a, b)
+        return a.primitive_part()
 
     def __call__(self, x):
         """Evaluate by Horner's rule; x may be an int, Fraction or polynomial."""
@@ -263,38 +257,22 @@ def _coerce(value):
     return NotImplemented
 
 
-def _frac_rem(a, b):
-    """Remainder of the Fraction coefficient lists a mod b (ascending, b nonzero)."""
-    rem = list(a)
-    while rem and rem[-1] == 0:
-        rem.pop()
-    db = len(b) - 1
-    while b and b[-1] == 0:
-        b = b[:-1]
-        db -= 1
-    lb = b[-1]
-    while len(rem) - 1 >= db:
-        q = rem[-1] / lb
-        k = len(rem) - 1 - db
-        for j, c in enumerate(b):
-            rem[j + k] -= q * c
-        rem.pop()
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return rem
-
-
-def _frac_to_primitive(coeffs) -> IntPolynomial:
-    """Scale a Fraction coefficient list by a positive rational to a primitive
-    integer polynomial.  The scaling factor is positive, so every coefficient
-    keeps its sign; this matters for Sturm chains, where a sign flip would
-    corrupt the variation count."""
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // _int_gcd(denom, c.denominator)
-    ints = IntPolynomial([int(c * denom) for c in coeffs])
-    g = ints.content()
-    return IntPolynomial(tuple(c // g for c in ints.coeffs))
+def _primitive_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    """The remainder of a mod b over Q times the positive rational that makes
+    it primitive in Z[x]: pseudo-division scaling by |lc(b)| only, so no
+    coefficient changes sign (a flip would corrupt a Sturm chain)."""
+    rem = list(a.coeffs)
+    lc = b.leading_coefficient
+    scale, lower = abs(lc), b.coeffs[:-1]
+    for k in range(len(rem) - len(b.coeffs), -1, -1):
+        top = rem.pop() if lc > 0 else -rem.pop()
+        if top:
+            rem = [scale * c for c in rem]
+            for j, c in enumerate(lower, k):
+                rem[j] -= top * c
+    r = IntPolynomial(rem)
+    g = r.content()
+    return r if g <= 1 else IntPolynomial(tuple(c // g for c in r.coeffs))
 
 
 # --- the Fibonacci-like family -------------------------------------------------
@@ -440,12 +418,10 @@ def _sturm_chain(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
     if p0.degree >= 1:
         chain.append(p0.derivative().primitive_part())
         while chain[-1].degree >= 1:
-            a = [Fraction(c) for c in chain[-2].coeffs]
-            b = [Fraction(c) for c in chain[-1].coeffs]
-            rem = _frac_rem(a, b)
-            if not any(rem):
+            rem = _primitive_rem(chain[-2], chain[-1])
+            if not rem:
                 break
-            chain.append(-_frac_to_primitive(rem))
+            chain.append(-rem)
     return tuple(chain)
 
 

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coxeter import CoxeterSystem
-from .fibpoly import count_roots_in, eval_at_matrix, fib_f, max_root_bracket
+from .dihedral import annihilation_test
+from .fibpoly import count_roots_in, max_root_bracket
 from .intmat import IntMatrix, charpoly, is_irreducible_nonneg, reachable, slot_ranges
 
 
@@ -264,12 +265,7 @@ def assembly_violations(
                     f"{order}"
                 )
                 continue
-            f = fib_f(order)
-            left = block @ block.transpose()
-            right = block.transpose() @ block
-            if not eval_at_matrix(f, left).is_zero() or not eval_at_matrix(
-                f, right
-            ).is_zero():
+            if not annihilation_test(block, order):
                 problems.append(
                     f"block ({i + 1}, {j + 1}) fails the order-{order} "
                     "annihilation condition"

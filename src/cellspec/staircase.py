@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .intmat import IntMatrix, gram, reachable, slot_ranges, spectrum_in_range
+from .intmat import IntMatrix, gram, reachable, spectrum_in_range
 
 
 class NonBinaryEntryError(ValueError):
@@ -205,39 +205,25 @@ def generators_for_shape(n_rows: int, n_cols: int) -> list[MatrixClass]:
 # --- canonical forms ------------------------------------------------------------
 
 
-def canonical_form(
-    m: IntMatrix, row_blocks=None, col_blocks=None
-) -> IntMatrix:
+def canonical_form(m: IntMatrix) -> IntMatrix:
     """Lexicographically minimal matrix under independent row and column
-    permutations (restricted to within-block permutations when blocks are
-    given as lists of consecutive sizes).
+    permutations.
 
-    For a fixed column arrangement the best row arrangement sorts the rows
-    (within each row block), so only column arrangements are enumerated.
+    For a fixed column arrangement the best row arrangement sorts the rows,
+    so only column arrangements are enumerated.
 
     >>> canonical_form(IntMatrix.from_rows([[0, 1], [1, 1]])).rows
     ((0, 1), (1, 1))
     >>> canonical_form(IntMatrix.from_rows([[1, 0], [1, 1]])).rows
     ((0, 1), (1, 1))
     """
-    row_ranges = slot_ranges(row_blocks, m.n_rows)
-    col_ranges = slot_ranges(col_blocks, m.n_cols)
-    if col_blocks is None and m.n_cols > 10:
+    if m.n_cols > 10:
         raise ValueError("refusing to enumerate permutations of more than 10 columns")
-
-    best = None
-    for perm_parts in itertools.product(
-        *(itertools.permutations(rng) for rng in col_ranges)
-    ):
-        col_order = [j for part in perm_parts for j in part]
-        rows = [tuple(row[j] for j in col_order) for row in m.rows]
-        arranged: list[tuple[int, ...]] = []
-        for rng in row_ranges:
-            arranged.extend(sorted(rows[i] for i in rng))
-        candidate = tuple(arranged)
-        if best is None or candidate < best:
-            best = candidate
-    return IntMatrix(best)
+    arrangements = (
+        tuple(sorted(tuple(row[j] for j in order) for row in m.rows))
+        for order in itertools.permutations(range(m.n_cols))
+    )
+    return IntMatrix(min(arrangements))
 
 
 def equivalent(a: IntMatrix, b: IntMatrix) -> bool:
@@ -341,16 +327,13 @@ def classify_under4(m: IntMatrix) -> MatrixClass:
 # --- exhaustive search ----------------------------------------------------------
 
 
-def _candidate_rows(n_cols: int, max_entry: int, prefilter: bool):
-    if prefilter:
-        # nonzero rows whose squared entries sum to < 4
-        rows = []
-        for row in itertools.product(range(max_entry + 1), repeat=n_cols):
-            s = sum(e * e for e in row)
-            if 0 < s < 4:
-                rows.append(row)
-        return rows
-    return list(itertools.product(range(max_entry + 1), repeat=n_cols))
+def _candidate_rows(n_cols: int, max_entry: int):
+    """Nonzero rows whose squared entries sum to < 4."""
+    return [
+        row
+        for row in itertools.product(range(max_entry + 1), repeat=n_cols)
+        if 0 < sum(e * e for e in row) < 4
+    ]
 
 
 def brute_force_under4(
@@ -399,7 +382,7 @@ def brute_force_under4(
         out.sort(key=lambda m: m.rows)
         return out
 
-    rows = _candidate_rows(n_cols, max_entry, prefilter=True)
+    rows = _candidate_rows(n_cols, max_entry)
 
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
