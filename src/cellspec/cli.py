@@ -526,6 +526,29 @@ _LEVEL_FLAGS = {
 }
 
 
+# the largest searches oracle-under4 runs: matrices tried without the
+# prefilter (tens of microseconds each), and rows + cols of the pruned walk
+_UNPRUNED_MATRICES = 2**16
+_PRUNED_LINES = 14
+
+
+def _check_oracle_size(parser, args) -> None:
+    """Refuse an oracle-under4 search too large to finish; shapes and
+    entry bounds below 1 are left to the search's own domain errors."""
+    r, c, e = args.rows, args.cols, args.max_entry
+    if r < 1 or c < 1 or e < 1:
+        return
+    if args.no_prefilter:
+        # an exponent above 16 already exceeds 2**16 since e + 1 >= 2
+        if r * c > 16 or (e + 1) ** (r * c) > _UNPRUNED_MATRICES:
+            parser.error(
+                "oracle-under4 --no-prefilter needs "
+                f"(--max-entry + 1) ** (--rows * --cols) <= {_UNPRUNED_MATRICES}"
+            )
+    elif r + c > _PRUNED_LINES:
+        parser.error(f"oracle-under4 needs --rows + --cols <= {_PRUNED_LINES}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -543,6 +566,8 @@ def main(argv=None) -> int:
         level = getattr(args, level_flag[2:].replace("-", "_"))
         if level is not None and level < 3:
             parser.error(f"{args.command} {level_flag} must be at least 3")
+    if args.command == "oracle-under4":
+        _check_oracle_size(parser, args)
     try:
         return args.func(args)
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:

@@ -6,16 +6,22 @@ independent row and column permutations, B is a staircase matrix, an
 extended staircase matrix (a staircase with one tripled line), or one of
 three exceptional matrices X1, X2, X3 (or a transpose of one of these).
 
-Two cheap necessary conditions drive the search:
+The classification is a graph fact.  The square of the adjacency matrix of
+the support graph (rows and columns as vertices, an edge per one) is the
+block sum of B B^T and B^T B, so every Gram eigenvalue is below 4 exactly
+when the graph has spectral radius below 2.  A connected graph has radius
+below 2 exactly when it is a simply laced Dynkin diagram A_n, D_n, E6, E7
+or E8 (J. H. Smith, "Some properties of the spectrum of a graph", 1970;
+Goodman, de la Harpe and Jones, Coxeter Graphs and Towers of Algebras,
+1989, 1.4).  Staircases are the paths A_n, extended staircases the D_n and
+X1, X2, X3 the E6, E7, E8, so classify_under4 and the pruned search read
+the class off the Dynkin type.  A subgraph never has a larger radius, so
+the search drops a partial matrix as soon as its graph has a cycle, a
+vertex of degree 4 or a second vertex of degree 3.
 
-  * a line (row or column) whose entries have squares summing to >= 4
-    forces an eigenvalue >= 4 (it is a diagonal entry of a Gram matrix);
-  * two parallel lines with inner product >= 2 force an eigenvalue >= 4
-    (interlacing against the 2x2 principal Gram block [[a, b], [b, c]]
-    with a, c >= b >= 2 gives top eigenvalue >= 2b >= 4).
-
-The definitive test is exact: Sturm root counting on the minimal polynomial
-of the smaller Gram matrix.
+gram_spectrum_below_4 stays independent of that fact: it counts roots
+exactly, by Sturm sequences on the minimal polynomial of the smaller Gram
+matrix, and it is the test of the unpruned search.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import itertools
 from dataclasses import dataclass
 
 from .intmat import IntMatrix, gram, reachable, spectrum_in_range
+from .quiver import NotSimplyLacedDynkinError, dynkin_type_of_graph
 
 
 class NonBinaryEntryError(ValueError):
@@ -266,28 +273,6 @@ def _smaller_gram(m: IntMatrix) -> IntMatrix:
     return gram(m, "right")
 
 
-def has_forbidden_line(m: IntMatrix) -> bool:
-    """Some row or column has entries whose squares sum to at least 4."""
-    for row in m.rows:
-        if sum(e * e for e in row) >= 4:
-            return True
-    for col in m.transpose().rows:
-        if sum(e * e for e in col) >= 4:
-            return True
-    return False
-
-
-def has_forbidden_parallel_pair(m: IntMatrix) -> bool:
-    """Some two rows, or two columns, have inner product at least 2."""
-    for a, b in itertools.combinations(m.rows, 2):
-        if sum(x * y for x, y in zip(a, b)) >= 2:
-            return True
-    for a, b in itertools.combinations(m.transpose().rows, 2):
-        if sum(x * y for x, y in zip(a, b)) >= 2:
-            return True
-    return False
-
-
 def gram_spectrum_below_4(m: IntMatrix) -> bool:
     """Exact check that all Gram eigenvalues lie in [0, 4).
 
@@ -297,6 +282,37 @@ def gram_spectrum_below_4(m: IntMatrix) -> bool:
     return spectrum_in_range(_smaller_gram(m), 0, 4)
 
 
+def _dynkin_key(m: IntMatrix):
+    """The class of a 0-1 matrix within its shape, read off its support
+    graph, or None unless that graph is a simply laced Dynkin tree.
+
+    Rows are the vertices 1..r and columns r+1..r+c.  The key is the Dynkin
+    type, with whether the branch vertex is a row for E6 and E8, whose two
+    halves have equal size; for A, D and E7 the shape fixes the half.
+
+    >>> _dynkin_key(exceptional(1)), _dynkin_key(exceptional(1).transpose())
+    (('E6', True), ('E6', False))
+    >>> _dynkin_key(IntMatrix.from_rows([[1, 1], [1, 1]])) is None
+    True
+    """
+    r, c = m.n_rows, m.n_cols
+    edges = [
+        (i + 1, r + j + 1)
+        for i, row in enumerate(m.rows)
+        for j, entry in enumerate(row)
+        if entry
+    ]
+    if len(edges) != r + c - 1:
+        return None
+    try:
+        name = dynkin_type_of_graph(r + c, edges)
+    except NotSimplyLacedDynkinError:
+        return None
+    if name in ("E6", "E8"):
+        return name, any(sum(row) == 3 for row in m.rows)
+    return name, None
+
+
 def classify_under4(m: IntMatrix) -> MatrixClass:
     """Identify the class of a 0-1 matrix with connected support and Gram
     spectrum inside [0, 4).
@@ -304,7 +320,9 @@ def classify_under4(m: IntMatrix) -> MatrixClass:
     Raises NonBinaryEntryError, ReducibleGramError or SpectrumOutOfRangeError
     when the corresponding hypothesis fails; otherwise returns the matching
     MatrixClass (its representative is the reference construction, equal to
-    the input up to row and column permutations).
+    the input up to row and column permutations).  The spectrum is in range
+    exactly when the support is a Dynkin tree, and the class is the
+    representative of the shape with the same Dynkin key.
 
     >>> classify_under4(IntMatrix.from_rows([[1, 1, 0], [0, 1, 1]])).kind
     'staircase'
@@ -312,11 +330,11 @@ def classify_under4(m: IntMatrix) -> MatrixClass:
     check_binary(m)
     if not is_connected_bipartite(m):
         raise ReducibleGramError("bipartite support graph is disconnected")
-    if not gram_spectrum_below_4(m):
+    key = _dynkin_key(m)
+    if key is None:
         raise SpectrumOutOfRangeError("some Gram eigenvalue is at least 4")
-    canon = canonical_form(m)
     for mc in generators_for_shape(m.n_rows, m.n_cols):
-        if canonical_form(mc.matrix) == canon:
+        if _dynkin_key(mc.matrix) == key:
             return mc
     raise RuntimeError(
         "matrix passes all spectral tests but matches no known class; "
@@ -328,10 +346,11 @@ def classify_under4(m: IntMatrix) -> MatrixClass:
 
 
 def _candidate_rows(n_cols: int, max_entry: int):
-    """Nonzero rows whose squared entries sum to < 4."""
+    """Nonzero rows whose squared entries sum to < 4.  No entry of 2 or
+    more survives, so entries stop at 2: larger ones change nothing."""
     return [
         row
-        for row in itertools.product(range(max_entry + 1), repeat=n_cols)
+        for row in itertools.product(range(min(max_entry, 2) + 1), repeat=n_cols)
         if 0 < sum(e * e for e in row) < 4
     ]
 
@@ -347,66 +366,88 @@ def brute_force_under4(
     at >= 4), so allowing max_entry = 2 is a built-in check that restricting
     to 0-1 matrices loses nothing.
 
-    With prefilter=True the search walks rows in non-decreasing order (row
-    order is free), keeps only rows with squared sum < 4, prunes on pairwise
-    row inner products >= 2, and finishes with the column conditions before
-    the exact spectral test.  These filters reject only matrices whose top
-    Gram eigenvalue is provably >= 4, so both settings return the same
-    classes; prefilter=False checks every matrix the slow way.
+    prefilter=False checks every matrix the slow way: connectivity, then the
+    exact spectral test.  prefilter=True walks rows in non-decreasing order
+    (row order is free), keeps only rows with squared sum < 4 (0-1 rows with
+    one to three ones), and drops a branch when a new row joins two columns
+    that are already connected (a cycle), a column reaches degree 4, a
+    second vertex of degree 3 appears, or the count of ones can no longer
+    end at r + c - 1.  A matrix of the first three kinds has a support graph
+    containing a cycle, the star with four leaves or, once connected, the
+    affine diagram D~_n, each of radius 2; one with another count of ones
+    has a cycle or is disconnected.  So both settings return the same
+    classes.  A forest with r + c - 1 edges on r + c vertices is a tree,
+    so each leaf is connected, is in range exactly when it is a Dynkin
+    tree, and its class is its Dynkin key; canonical_form runs once per
+    class.
     """
     if n_rows < 1 or n_cols < 1:
         raise ValueError("shape entries must be positive")
     if max_entry < 1:
         raise ValueError("max_entry must be at least 1")
-    found: set[tuple] = set()
-    out: list[IntMatrix] = []
-
-    def consider(m: IntMatrix):
-        if not is_connected_bipartite(m):
-            return
-        if not gram_spectrum_below_4(m):
-            return
-        canon = canonical_form(m)
-        if canon.rows not in found:
-            found.add(canon.rows)
-            out.append(canon)
 
     if not prefilter:
+        found: set[tuple] = set()
+        out: list[IntMatrix] = []
         for flat in itertools.product(
             range(max_entry + 1), repeat=n_rows * n_cols
         ):
             m = IntMatrix.from_rows(
                 [flat[i * n_cols : (i + 1) * n_cols] for i in range(n_rows)]
             )
-            consider(m)
+            if not is_connected_bipartite(m) or not gram_spectrum_below_4(m):
+                continue
+            canon = canonical_form(m)
+            if canon.rows not in found:
+                found.add(canon.rows)
+                out.append(canon)
         out.sort(key=lambda m: m.rows)
         return out
 
     rows = _candidate_rows(n_cols, max_entry)
-
-    def dot(a, b):
-        return sum(x * y for x, y in zip(a, b))
-
+    supports = [tuple(j for j, e in enumerate(row) if e) for row in rows]
+    edges = n_rows + n_cols - 1
+    classes: dict = {}
     chosen: list[tuple[int, ...]] = []
+    component = list(range(n_cols))  # a label per column; equal when connected
+    degree = [0] * n_cols  # of each column
 
-    def extend(start: int):
+    def extend(start: int, ones: int, branches: int):
         if len(chosen) == n_rows:
             m = IntMatrix(tuple(chosen))
-            # column conditions were not enforced during the walk
-            if has_forbidden_line(m) or has_forbidden_parallel_pair(m):
-                return
-            consider(m)
+            key = _dynkin_key(m)
+            if key is not None and key not in classes:
+                classes[key] = canonical_form(m)
             return
+        later = n_rows - len(chosen) - 1  # rows still to pick after this one
         for idx in range(start, len(rows)):
-            row = rows[idx]
-            if all(dot(row, prev) < 2 for prev in chosen):
-                chosen.append(row)
-                # rows in non-decreasing index order; equal rows would have
-                # inner product >= 2 unless a single shared 1, so duplicates
-                # are allowed to repeat only via the same index
-                extend(idx)
-                chosen.pop()
+            support = supports[idx]
+            total = ones + len(support)
+            if not total + later <= edges <= total + 3 * later:
+                continue
+            labels = {component[j] for j in support}
+            if len(labels) < len(support):
+                continue
+            if any(degree[j] == 3 for j in support):
+                continue
+            new_branches = branches + (len(support) == 3) + sum(
+                degree[j] == 2 for j in support
+            )
+            if new_branches > 1:
+                continue
+            saved = component[:]
+            merged = min(labels)
+            for j in range(n_cols):
+                if component[j] in labels:
+                    component[j] = merged
+            for j in support:
+                degree[j] += 1
+            chosen.append(rows[idx])
+            extend(idx, total, new_branches)
+            chosen.pop()
+            for j in support:
+                degree[j] -= 1
+            component[:] = saved
 
-    extend(0)
-    out.sort(key=lambda m: m.rows)
-    return out
+    extend(0, 0, 0)
+    return sorted(classes.values(), key=lambda m: m.rows)

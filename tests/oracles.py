@@ -4,9 +4,11 @@ These deliberately avoid the package's own algorithms: the group-theoretic
 word counts walk a concrete matrix or permutation realization of each group,
 the characteristic polynomial comes from permutation expansion of the
 determinant, and the equivalence test for 0-1 matrices tries every row and
-column permutation.  The enumerate-then-filter references keep the slow paths
-that direct constructions replaced: J by the braid-orbit filter, edge blocks
-by every raw wiring deduplicated over all column orders, and cells by Tarjan's
+column permutation; the class matcher that the Dynkin lookup replaced
+compares least arrangements over every column order.  The
+enumerate-then-filter references keep the slow paths that direct
+constructions replaced: J by the braid-orbit filter, edge blocks by every
+raw wiring deduplicated over all column orders, and cells by Tarjan's
 strongly connected components.  The law check of based algebras and modules
 is redone pair by pair in Python ints, and the dihedral structure constants
 by the dense word ladder that the sparse one replaced.
@@ -19,6 +21,7 @@ import numpy as np
 
 from cellspec.coxeter import is_reduced, tits_orbit
 from cellspec.fibpoly import IntPolynomial
+from cellspec.staircase import generators_for_shape
 
 
 def totient(n: int) -> int:
@@ -257,6 +260,25 @@ def equivalent_by_all_permutations(a, b) -> bool:
         for cp in permutations(range(b.n_cols)):
             target.add(tuple(tuple(row[j] for j in cp) for row in rows))
     return a.rows in target
+
+
+def _canonical_rows(rows):
+    """The least arrangement of a matrix under row and column permutations:
+    over every column order, the rows sorted."""
+    return min(
+        tuple(sorted(tuple(row[j] for j in perm) for row in rows))
+        for perm in permutations(range(len(rows[0])))
+    )
+
+
+def classify_by_canonical_form(m):
+    """The class of an in-range 0-1 matrix by canonical-form matching: the
+    representative of its shape with the same least arrangement, or None."""
+    key = _canonical_rows(m.rows)
+    for mc in generators_for_shape(m.n_rows, m.n_cols):
+        if _canonical_rows(mc.matrix.rows) == key:
+            return mc
+    return None
 
 
 def max_root_bracket_by_bisection(p: IntPolynomial, width: Fraction):

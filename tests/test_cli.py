@@ -17,6 +17,7 @@ import pytest
 from cellspec import cli
 from cellspec.coxeter import CoxeterSystem, enumerate_J
 from cellspec.dihedral import enumerate_B
+from cellspec.staircase import make_extended_staircase, make_staircase
 
 
 def run_cli(capsys, *argv):
@@ -193,6 +194,53 @@ class TestOracleUnder4:
             "3",
         )
         assert base["results"]["classes"] == wide["results"]["classes"]
+
+
+class TestOracleUnder4Limits:
+    def test_unpruned_search_beyond_2_16_matrices_is_a_usage_error(self, capsys):
+        # 3 ** 12 = 531441 matrices at the default --max-entry 2
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["oracle-under4", "--rows", "3", "--cols", "4", "--no-prefilter"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--no-prefilter" in err and "65536" in err
+
+    def test_pruned_search_beyond_14_lines_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["oracle-under4", "--rows", "7", "--cols", "8"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--rows + --cols" in err and "14" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--rows", "4", "--cols", "4", "--max-entry", "1", "--no-prefilter"),
+            ("--rows", "7", "--cols", "7"),
+            ("--rows", "2", "--cols", "7", "--max-entry", "99"),
+        ],
+    )
+    def test_searches_at_the_limits_are_admitted(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli, "brute_force_under4", lambda *a, **k: [])
+        code, out, err = run_cli(capsys, "oracle-under4", *argv)
+        assert code == 0, err
+
+
+class TestClassifyMatrixBeyondTenColumns:
+    @pytest.mark.parametrize(
+        "matrix,kind",
+        [
+            (make_staircase(11, 12), "staircase"),
+            (make_extended_staircase(11, 12), "extended_staircase"),
+        ],
+    )
+    def test_shuffled_family_member(self, capsys, matrix, kind):
+        rows = [list(row[::-1]) for row in matrix.rows[::-1]]
+        rows[0], rows[5] = rows[5], rows[0]
+        report = run_json(capsys, "classify-matrix", "--matrix", json.dumps(rows))
+        assert report["results"]["kind"] == kind
+        assert report["results"]["shape"] == [matrix.n_rows, matrix.n_cols]
+        assert report["results"]["representative"]["entries"] == matrix.to_lists()
 
 
 class TestEnumerateB:
