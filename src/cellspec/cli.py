@@ -415,7 +415,7 @@ def _cmd_apex(args) -> int:
         "transitive": module.is_transitive(),
         "apex": [labels[i] for i in apex_indices],
         "annihilated": [labels[i] for i in module.annihilated()],
-        "minimal_level": rep.has_minimal_level,
+        "minimal_level": args.n is None or rep.has_minimal_level,
     }
     lines = [
         f"level: {n}",

@@ -251,26 +251,23 @@ def enumerate_B(n: int) -> list[DihedralCandidate]:
     """All candidate matrices at level n, in the reference order: wide
     staircase, tall staircase, wide extension, tall extension, then the
     exceptional matrices (tagged hypothetical) at levels 12, 18 and 30.
-    Duplicates arising from degenerate extensions are removed by entry
-    equality, and every emitted matrix is checked to have minimal level n.
+    The extensions start at level 6: at level 4 the extended staircase is
+    the 1x2 staircase, as D3 = A3.  Every emitted matrix is checked to have
+    minimal level n.
 
     >>> [c.matrix.shape for c in enumerate_B(6)]
     [(2, 3), (3, 2), (1, 3), (3, 1)]
-    >>> len(enumerate_B(5))
-    1
+    >>> len(enumerate_B(5)), len(enumerate_B(4))
+    (1, 2)
     """
     if n < 3:
         raise ValueError("level must be at least 3")
     out: list[DihedralCandidate] = []
-    seen: set[tuple] = set()
 
     def add(matrix: IntMatrix, family: str, transposed: bool,
             hypothetical: bool = False, variant: int | None = None):
-        if matrix.rows in seen:
-            return
         if recover_n(matrix, bound=max(n, 3)) != n:
             raise AssertionError("candidate recovers the wrong level")
-        seen.add(matrix.rows)
         out.append(
             DihedralCandidate(matrix, n, family, transposed, hypothetical, variant)
         )
@@ -280,7 +277,7 @@ def enumerate_B(n: int) -> list[DihedralCandidate]:
     else:
         add(cell_rep_B(n, "wide"), "cell", transposed=False)
         add(cell_rep_B(n, "tall"), "cell", transposed=True)
-        if n >= 4:
+        if n >= 6:
             add(n_rep_B(n, "wide"), "extension", transposed=False)
             add(n_rep_B(n, "tall"), "extension", transposed=True)
     if n in _EXCEPTIONAL_LEVEL:

@@ -217,12 +217,6 @@ class IntPolynomial:
             result = result * x + c
         return result
 
-    def shift_down(self) -> "IntPolynomial":
-        """self / x, requiring zero constant term."""
-        if self.coeffs and self.coeffs[0] != 0:
-            raise ValueError("nonzero constant term, not divisible by x")
-        return IntPolynomial(self.coeffs[1:])
-
     def __str__(self) -> str:
         if self.is_zero():
             return "0"

@@ -11,8 +11,9 @@ irreducible.  The admissible edge blocks decompose into atoms:
     m = 4: components [[1], [1]] or [[1, 1]],
     m = 5: 2x2 components with exactly three ones.
 
-assembly_search enumerates size vectors over a tree-shaped diagram and, for
-each edge, builds one block per class modulo permutations of its far slot
+assembly_search grows the size vectors of a tree-shaped diagram along its
+edges, giving each slot only the sizes the bond to its parent admits, and
+for each edge builds one block per class modulo permutations of its far slot
 directly from how the atoms split the near slot's rows; it returns the
 candidates up to simultaneous within-slot permutation.  For the
 reflection-representation comparison in types H3 and H4, the small matrix over
@@ -364,14 +365,6 @@ def _edge_blocks(order: int, n_rows: int, n_cols: int) -> list[IntMatrix]:
     raise ValueError("edges carry orders 3, 4 or 5")
 
 
-def _size_vectors(r: int, max_total: int):
-    """All tuples of r positive sizes with sum at most max_total."""
-    for total in range(r, max_total + 1):
-        for cuts in itertools.combinations(range(1, total), r - 1):
-            bounds = (0,) + cuts + (total,)
-            yield tuple(bounds[i + 1] - bounds[i] for i in range(r))
-
-
 def conjugation_canonical(m: IntMatrix, sizes) -> IntMatrix:
     """Minimal matrix over simultaneous within-slot permutations applied to
     rows and columns together."""
@@ -398,12 +391,12 @@ def assembly_search(
 
     The diagram must be connected, tree-shaped, and carry bond orders in
     {2, 3, 4, 5} off the diagonal; every finite system handled by this
-    package is of that shape.
+    package is of that shape.  Only size vectors that pass _sizes_feasible
+    on every edge are built, each far slot taking what its bond admits.
     """
     r = system.rank
     if r < 2:
         raise ValueError("assembly needs rank at least 2")
-    edges = []
     adjacency: dict[int, list[int]] = {i: [] for i in range(1, r + 1)}
     for i in range(1, r + 1):
         for j in range(i + 1, r + 1):
@@ -414,10 +407,9 @@ def assembly_search(
                     "use the rank-2 tools directly"
                 )
             if order >= 3:
-                edges.append((i, j, order))
                 adjacency[i].append(j)
                 adjacency[j].append(i)
-    if len(edges) != r - 1:
+    if sum(map(len, adjacency.values())) != 2 * (r - 1):
         raise ValueError("diagram must be a tree")
     # breadth-first orientation from generator 1: each edge (near, far) joins
     # a vertex to its earliest-visited neighbour
@@ -429,13 +421,17 @@ def assembly_search(
         near = min(adjacency[far], key=visit.index)
         oriented.append((near, far, system.m(near, far)))
 
+    # each far slot leaves size 1 for every slot still empty
+    vectors = [(s,) + (0,) * (r - 1) for s in range(1, max_total - r + 2)]
+    for k, (near, far, order) in enumerate(oriented):
+        vectors = [
+            v[: far - 1] + (s,) + v[far:]
+            for v in vectors
+            for s in range(1, max_total - sum(v) - (r - k - 2) + 1)
+            if _sizes_feasible(order, v[near - 1], s)
+        ]
     results: dict[tuple, AssemblyCandidate] = {}
-    for sizes in _size_vectors(r, max_total):
-        if any(
-            not _sizes_feasible(order, sizes[i - 1], sizes[j - 1])
-            for i, j, order in edges
-        ):
-            continue
+    for sizes in vectors:
         per_edge = [
             _edge_blocks(order, sizes[near - 1], sizes[far - 1])
             for near, far, order in oriented

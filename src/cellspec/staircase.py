@@ -15,9 +15,11 @@ or E8 (J. H. Smith, "Some properties of the spectrum of a graph", 1970;
 Goodman, de la Harpe and Jones, Coxeter Graphs and Towers of Algebras,
 1989, 1.4).  Staircases are the paths A_n, extended staircases the D_n and
 X1, X2, X3 the E6, E7, E8, so classify_under4 and the pruned search read
-the class off the Dynkin type.  A subgraph never has a larger radius, so
-the search drops a partial matrix as soon as its graph has a cycle, a
-vertex of degree 4 or a second vertex of degree 3.
+the class off the Dynkin type.  The search builds its rows directly from
+the column subsets of size one to three, walks a wide shape as its
+transpose, and, as a subgraph never has a larger radius, drops a partial
+matrix as soon as its graph has a cycle, a vertex of degree 4 or a second
+vertex of degree 3.
 
 gram_spectrum_below_4 stays independent of that fact: it counts roots
 exactly, by Sturm sequences on the minimal polynomial of the smaller Gram
@@ -164,48 +166,29 @@ def generators_for_shape(n_rows: int, n_cols: int) -> list[MatrixClass]:
     """All classification representatives of the exact given shape.
 
     Staircases exist when |r - c| <= 1, extensions when the shape difference
-    is 1 or 2 (column extensions are wide, row extensions tall), and the
-    exceptional matrices at their six fixed shapes.  Duplicates that arise
-    from degenerate extensions coinciding with staircases (the 1x2 case and
-    its transpose) are removed by entry equality.
+    is 1 or 2 and r + c >= 4 (column extensions are wide, row extensions
+    tall; below 4 lines the extension is the staircase, as D3 = A3), and the
+    exceptional matrices at their six fixed shapes.  No two of these are
+    equal, since their support graphs have different Dynkin types or, for
+    an exceptional matrix and its transpose, shapes or branch halves.
     """
     out: list[MatrixClass] = []
-    seen: set[tuple] = set()
-
-    def add(mc: MatrixClass):
-        if mc.matrix.rows not in seen:
-            seen.add(mc.matrix.rows)
-            out.append(mc)
-
     r, c = n_rows, n_cols
     if abs(r - c) <= 1:
-        add(MatrixClass("staircase", make_staircase(r, c), transposed=r > c))
-    if c - r in (1, 2):
-        base_cols = c - 1
-        if base_cols >= 1 and abs(r - base_cols) <= 1:
-            add(
-                MatrixClass(
-                    "extended_staircase",
-                    make_extended_staircase(r, base_cols, "column"),
-                    transposed=False,
-                )
-            )
-    if r - c in (1, 2):
-        base_rows = r - 1
-        if base_rows >= 1 and abs(base_rows - c) <= 1:
-            add(
-                MatrixClass(
-                    "extended_staircase",
-                    make_extended_staircase(base_rows, c, "row"),
-                    transposed=True,
-                )
-            )
+        out.append(MatrixClass("staircase", make_staircase(r, c), transposed=r > c))
+    if r + c >= 4 and c - r in (1, 2):
+        ext = make_extended_staircase(r, c - 1, "column")
+        out.append(MatrixClass("extended_staircase", ext))
+    if r + c >= 4 and r - c in (1, 2):
+        ext = make_extended_staircase(r - 1, c, "row")
+        out.append(MatrixClass("extended_staircase", ext, transposed=True))
     for k, rows in _EXCEPTIONAL.items():
         x = IntMatrix(rows)
         if x.shape == (r, c):
-            add(MatrixClass("exceptional", x, transposed=False, variant=k))
-        if x.transpose().shape == (r, c) and x.transpose() != x:
-            add(MatrixClass("exceptional", x.transpose(), transposed=True, variant=k))
+            out.append(MatrixClass("exceptional", x, variant=k))
+        if x.shape == (c, r):
+            xt = x.transpose()
+            out.append(MatrixClass("exceptional", xt, transposed=True, variant=k))
     return out
 
 
@@ -345,69 +328,30 @@ def classify_under4(m: IntMatrix) -> MatrixClass:
 # --- exhaustive search ----------------------------------------------------------
 
 
-def _candidate_rows(n_cols: int, max_entry: int):
-    """Nonzero rows whose squared entries sum to < 4.  No entry of 2 or
-    more survives, so entries stop at 2: larger ones change nothing."""
-    return [
-        row
-        for row in itertools.product(range(min(max_entry, 2) + 1), repeat=n_cols)
-        if 0 < sum(e * e for e in row) < 4
-    ]
+def _dynkin_members(n_rows: int, n_cols: int) -> list[IntMatrix]:
+    """One 0-1 matrix of the given shape per class whose support graph is a
+    Dynkin tree, found by a pruned walk.
 
-
-def brute_force_under4(
-    n_rows: int, n_cols: int, max_entry: int = 2, prefilter: bool = True
-) -> list[IntMatrix]:
-    """All equivalence classes of matrices of the exact given shape, entries
-    in 0..max_entry, connected bipartite support, and Gram spectrum in
-    [0, 4); returned as sorted canonical forms.
-
-    Only 0-1 matrices can survive (an entry >= 2 puts a diagonal Gram entry
-    at >= 4), so allowing max_entry = 2 is a built-in check that restricting
-    to 0-1 matrices loses nothing.
-
-    prefilter=False checks every matrix the slow way: connectivity, then the
-    exact spectral test.  prefilter=True walks rows in non-decreasing order
-    (row order is free), keeps only rows with squared sum < 4 (0-1 rows with
-    one to three ones), and drops a branch when a new row joins two columns
-    that are already connected (a cycle), a column reaches degree 4, a
-    second vertex of degree 3 appears, or the count of ones can no longer
-    end at r + c - 1.  A matrix of the first three kinds has a support graph
-    containing a cycle, the star with four leaves or, once connected, the
-    affine diagram D~_n, each of radius 2; one with another count of ones
-    has a cycle or is disconnected.  So both settings return the same
-    classes.  A forest with r + c - 1 edges on r + c vertices is a tree,
-    so each leaf is connected, is in range exactly when it is a Dynkin
-    tree, and its class is its Dynkin key; canonical_form runs once per
-    class.
+    Each row is built from a column subset of size one to three, rows are
+    walked in non-decreasing order (row order is free), and a branch is
+    dropped when a new row joins two columns that are already connected (a
+    cycle), a column reaches degree 4, a second vertex of degree 3 appears,
+    or the count of ones can no longer end at r + c - 1.  A matrix of the
+    first three kinds has a support graph containing a cycle, the star with
+    four leaves or, once connected, the affine diagram D~_n, each of radius
+    2; one with another count of ones has a cycle or is disconnected.  A
+    forest with r + c - 1 edges on r + c vertices is a tree, so each leaf is
+    connected, is in range exactly when it is a Dynkin tree, and its class
+    is its Dynkin key.
     """
-    if n_rows < 1 or n_cols < 1:
-        raise ValueError("shape entries must be positive")
-    if max_entry < 1:
-        raise ValueError("max_entry must be at least 1")
-
-    if not prefilter:
-        found: set[tuple] = set()
-        out: list[IntMatrix] = []
-        for flat in itertools.product(
-            range(max_entry + 1), repeat=n_rows * n_cols
-        ):
-            m = IntMatrix.from_rows(
-                [flat[i * n_cols : (i + 1) * n_cols] for i in range(n_rows)]
-            )
-            if not is_connected_bipartite(m) or not gram_spectrum_below_4(m):
-                continue
-            canon = canonical_form(m)
-            if canon.rows not in found:
-                found.add(canon.rows)
-                out.append(canon)
-        out.sort(key=lambda m: m.rows)
-        return out
-
-    rows = _candidate_rows(n_cols, max_entry)
+    rows = sorted(
+        tuple(int(j in s) for j in range(n_cols))
+        for k in (1, 2, 3)
+        for s in itertools.combinations(range(n_cols), k)
+    )
     supports = [tuple(j for j, e in enumerate(row) if e) for row in rows]
     edges = n_rows + n_cols - 1
-    classes: dict = {}
+    members: dict = {}
     chosen: list[tuple[int, ...]] = []
     component = list(range(n_cols))  # a label per column; equal when connected
     degree = [0] * n_cols  # of each column
@@ -416,8 +360,8 @@ def brute_force_under4(
         if len(chosen) == n_rows:
             m = IntMatrix(tuple(chosen))
             key = _dynkin_key(m)
-            if key is not None and key not in classes:
-                classes[key] = canonical_form(m)
+            if key is not None:
+                members.setdefault(key, m)
             return
         later = n_rows - len(chosen) - 1  # rows still to pick after this one
         for idx in range(start, len(rows)):
@@ -450,4 +394,43 @@ def brute_force_under4(
             component[:] = saved
 
     extend(0, 0, 0)
-    return sorted(classes.values(), key=lambda m: m.rows)
+    return list(members.values())
+
+
+def brute_force_under4(
+    n_rows: int, n_cols: int, max_entry: int = 2, prefilter: bool = True
+) -> list[IntMatrix]:
+    """All equivalence classes of matrices of the exact given shape, entries
+    in 0..max_entry, connected bipartite support, and Gram spectrum in
+    [0, 4); returned as sorted canonical forms.
+
+    Only 0-1 matrices can survive (an entry >= 2 puts a diagonal Gram entry
+    at >= 4), so allowing max_entry = 2 is a built-in check that restricting
+    to 0-1 matrices loses nothing.
+
+    prefilter=False checks every matrix the slow way: connectivity, then the
+    exact spectral test.  prefilter=True takes the canonical form of each
+    member from _dynkin_members, whose rows (one to three ones) are the rows
+    with squared sum below 4 for every max_entry; a wide shape is walked as
+    its transpose, which has fewer candidate rows.  Both settings return the
+    same classes.
+    """
+    if n_rows < 1 or n_cols < 1:
+        raise ValueError("shape entries must be positive")
+    if max_entry < 1:
+        raise ValueError("max_entry must be at least 1")
+    if prefilter and n_cols > n_rows:
+        members = [m.transpose() for m in _dynkin_members(n_cols, n_rows)]
+    elif prefilter:
+        members = _dynkin_members(n_rows, n_cols)
+    else:
+        members = []
+        for flat in itertools.product(
+            range(max_entry + 1), repeat=n_rows * n_cols
+        ):
+            m = IntMatrix.from_rows(
+                [flat[i * n_cols : (i + 1) * n_cols] for i in range(n_rows)]
+            )
+            if is_connected_bipartite(m) and gram_spectrum_below_4(m):
+                members.append(m)
+    return sorted({canonical_form(m) for m in members}, key=lambda m: m.rows)

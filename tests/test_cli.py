@@ -18,6 +18,7 @@ from cellspec import cli
 from cellspec.coxeter import CoxeterSystem, enumerate_J
 from cellspec.dihedral import enumerate_B
 from cellspec.staircase import make_extended_staircase, make_staircase
+from test_cli_transcript import INVOCATIONS
 
 
 def run_cli(capsys, *argv):
@@ -529,3 +530,11 @@ def test_import_does_not_load_numpy():
     assert run.returncode == 0, run.stderr
     out = run.stdout.split()
     assert out == [cli.__file__, "False"]
+
+
+@pytest.mark.parametrize("argv", INVOCATIONS, ids=lambda argv: " ".join(argv[:3]))
+def test_json_report_round_trips(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 0, err
+    canonical = json.dumps(json.loads(out), sort_keys=True, separators=(",", ":"))
+    assert out == canonical + "\n"

@@ -172,6 +172,13 @@ class TestSearch:
         }
         assert keys == expected
 
+    @pytest.mark.parametrize("name", ["B3", "H3", "F4", "B4", "H4"])
+    def test_search_reaches_max_total(self, name):
+        system = CoxeterSystem.from_name(name)
+        for sizes, _ in REFERENCE_ASSEMBLIES[name]:
+            found = assembly_search(system, max_total=sum(sizes))
+            assert sizes in {c.sizes for c in found}
+
     def test_a_series(self):
         found = assembly_search(CoxeterSystem.from_name("A2"), max_total=10)
         assert [c.matrix.to_lists() for c in found] == [[[2, 1], [1, 2]]]

@@ -6,6 +6,7 @@ spectral test gram_spectrum_below_4 and to the canonical-form matcher it
 replaced, and check the symmetries the classification must have.
 """
 
+import functools
 import itertools
 import random
 import time
@@ -18,6 +19,7 @@ from cellspec.intmat import IntMatrix
 from cellspec.staircase import (
     SpectrumOutOfRangeError,
     _dynkin_key,
+    _dynkin_members,
     brute_force_under4,
     canonical_form,
     classify_under4,
@@ -153,3 +155,24 @@ def test_more_than_ten_columns_classify(m, kind):
     col_order = rng.sample(range(m.n_cols), m.n_cols)
     mc = classify_under4(permuted(m, row_order, col_order))
     assert (mc.kind, mc.matrix) == (kind, m)
+
+
+@functools.cache
+def classes_of(shape):
+    return brute_force_under4(*shape)
+
+
+@pytest.mark.parametrize(
+    "shape", [(r, c) for r in range(1, 7) for c in range(1, 7)]
+)
+def test_search_agrees_with_the_transposed_shape(shape):
+    r, c = shape
+    transposed = {canonical_form(m.transpose()).rows for m in classes_of((c, r))}
+    assert {m.rows for m in classes_of(shape)} == transposed
+
+
+def test_a_long_single_row_is_searched_at_once():
+    started = time.monotonic()
+    assert brute_force_under4(1, 13) == []
+    assert _dynkin_members(1, 13) == []
+    assert time.monotonic() - started < 0.5
