@@ -10,8 +10,8 @@ The package computes, with integer and rational arithmetic only:
   together with an exhaustive search oracle (``staircase``);
 * candidate matrices for dihedral quotients at a given level, the matrix
   model of the generators, and the truncated based algebra (``dihedral``);
-* cells, apexes, transitivity, and positive eigenvectors of based algebras
-  and their finite based modules (``based_algebra``);
+* cells, apexes and transitivity of based algebras and their finite based
+  modules (``based_algebra``);
 * candidate matrices for higher-rank quotients assembled from dihedral
   blocks, with an exact search and verifier (``higher_rank``);
 * double quivers with zigzag relations, their Cartan matrices, and the
@@ -66,7 +66,6 @@ from .higher_rank import (
     reflection_sign_matrix,
     shared_top_eigenvalue,
     special_modules,
-    verify_assembly,
 )
 from .intmat import (
     IntMatrix,
@@ -86,7 +85,6 @@ from .staircase import (
     brute_force_under4,
     canonical_form,
     classify_under4,
-    equivalent,
     exceptional,
     generators_for_shape,
     gram_spectrum_below_4,
@@ -133,7 +131,6 @@ __all__ = [
     "dynkin_type_of_graph",
     "enumerate_B",
     "enumerate_J",
-    "equivalent",
     "eval_at_matrix",
     "exceptional",
     "fib_f",
@@ -163,5 +160,4 @@ __all__ = [
     "theta_generator_matrices",
     "theta_word_matrix",
     "tits_orbit",
-    "verify_assembly",
 ]

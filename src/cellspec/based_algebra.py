@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .intmat import IntMatrix, is_irreducible_nonneg, pf_vector, reachable
+from .intmat import IntMatrix, is_irreducible_nonneg, reachable
 
 Gamma = tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -194,12 +194,6 @@ class CellPartition:
     def count(self) -> int:
         return len(self.cells)
 
-    def cell_index_of(self, basis_index: int) -> int:
-        return self.cell_of[basis_index]
-
-    def is_leq(self, a: int, b: int) -> bool:
-        return self.leq[a][b]
-
     def maximal_among(self, cell_indices) -> tuple[int, ...]:
         chosen = sorted(set(cell_indices))
         return tuple(
@@ -272,9 +266,3 @@ class BasedModule:
         if len(maximal) != 1:
             raise ValueError("no unique maximal non-annihilating cell")
         return partition.cells[maximal[0]]
-
-    def special_vector(self):
-        """Perron-Frobenius eigenvalue and positive eigenvector (max entry 1)
-        of the summed action matrix, as by pf_vector; requires
-        transitivity."""
-        return pf_vector(self.total_action())

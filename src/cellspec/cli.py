@@ -31,7 +31,7 @@ from .higher_rank import (
     shared_top_eigenvalue,
     special_modules,
 )
-from .intmat import IntMatrix, charpoly, minpoly_symmetric, pf_vector
+from .intmat import IntMatrix, charpoly, gram, minpoly_symmetric, pf_vector
 from .quiver import NotSimplyLacedDynkinError, ZigzagAlgebra
 from .staircase import (
     brute_force_under4,
@@ -171,10 +171,8 @@ def _cmd_matspec(args) -> int:
             mp = minpoly_symmetric(m)
             results["minpoly"] = _poly_json(mp)
             lines.append(f"minimal polynomial: {mp}")
-    left = m @ m.transpose()
-    right = m.transpose() @ m
-    results["gram_left_minpoly"] = _poly_json(minpoly_symmetric(left))
-    results["gram_right_minpoly"] = _poly_json(minpoly_symmetric(right))
+    results["gram_left_minpoly"] = _poly_json(minpoly_symmetric(gram(m, "left")))
+    results["gram_right_minpoly"] = _poly_json(minpoly_symmetric(gram(m, "right")))
     below = gram_spectrum_below_4(m)
     results["gram_spectrum_below_4"] = below
     lines.append(f"left Gram minimal polynomial: {results['gram_left_minpoly']['text']}")
@@ -215,7 +213,7 @@ def _cmd_oracle_under4(args) -> int:
         prefilter=not args.no_prefilter,
     )
     expected = {
-        tuple(map(tuple, canonical_form(mc.matrix).rows))
+        canonical_form(mc.matrix).rows
         for mc in generators_for_shape(args.rows, args.cols)
     }
     found = {m.rows for m in classes}
@@ -517,12 +515,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the dihedral level argument of each subcommand that takes one
-_LEVEL_FLAGS = {
-    "enumerate-b": "--n",
-    "dihedral-table": "--n",
-    "cells-of-algebra": "--dihedral-n",
-    "apex": "--n",
+# the smallest value of each bounded integer flag: counts and lengths start
+# at 0, dihedral levels at 3
+_FLOORS = {
+    "cells": {"--max-length": 0},
+    "fibpoly": {"--i": 0, "--upto": 0},
+    "enumerate-b": {"--n": 3},
+    "dihedral-table": {"--n": 3},
+    "cells-of-algebra": {"--dihedral-n": 3},
+    "apex": {"--n": 3},
 }
 
 
@@ -554,18 +555,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "fibpoly" and args.i is None and args.upto is None:
         parser.error("fibpoly needs --i or --upto")
-    if args.command == "fibpoly":
-        for flag in ("i", "upto"):
-            value = getattr(args, flag)
-            if value is not None and value < 0:
-                parser.error(f"fibpoly --{flag} must be non-negative")
-    if args.command == "cells" and args.max_length is not None and args.max_length < 0:
-        parser.error("cells --max-length must be non-negative")
-    level_flag = _LEVEL_FLAGS.get(args.command)
-    if level_flag is not None:
-        level = getattr(args, level_flag[2:].replace("-", "_"))
-        if level is not None and level < 3:
-            parser.error(f"{args.command} {level_flag} must be at least 3")
+    for flag, floor in _FLOORS.get(args.command, {}).items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value < floor:
+            bound = f"at least {floor}" if floor else "non-negative"
+            parser.error(f"{args.command} {flag} must be {bound}")
     if args.command == "oracle-under4":
         _check_oracle_size(parser, args)
     try:

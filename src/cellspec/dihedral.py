@@ -67,7 +67,9 @@ def theta_word_matrix(b: IntMatrix, length: int, first: int) -> IntMatrix:
     if length == 0:
         return IntMatrix.identity(r + c)
     if first == 2:
-        return _theta_word_second(b, length)
+        # the mirror image: the word for b^T with its two index blocks swapped
+        rows = theta_word_matrix(b.transpose(), length, 1).rows
+        return IntMatrix(tuple(row[c:] + row[:c] for row in rows[c:] + rows[:c]))
     g = gram(b, "left")
     f = fib_f(length)
     fg = eval_at_matrix(f, g)
@@ -79,25 +81,6 @@ def theta_word_matrix(b: IntMatrix, length: int, first: int) -> IntMatrix:
         top_right = 2 * (eval_at_matrix(IntPolynomial(f.coeffs[1:]), g) @ b)
     rows = [top_left.rows[i] + top_right.rows[i] for i in range(r)]
     rows += [(0,) * (r + c) for _ in range(c)]
-    return IntMatrix.from_rows(rows)
-
-
-def _theta_word_second(b: IntMatrix, length: int) -> IntMatrix:
-    """Alternating word starting with generator 2: mirror formulas in the
-    bottom rows, in terms of the right Gram matrix B^T B."""
-    r, c = b.n_rows, b.n_cols
-    g = gram(b, "right")
-    f = fib_f(length)
-    fg = eval_at_matrix(f, g)
-    bt = b.transpose()
-    if length % 2 == 1:
-        bottom_left = fg @ bt
-        bottom_right = 2 * fg
-    else:
-        bottom_left = 2 * (eval_at_matrix(IntPolynomial(f.coeffs[1:]), g) @ bt)
-        bottom_right = fg
-    rows = [(0,) * (r + c) for _ in range(r)]
-    rows += [bottom_left.rows[i] + bottom_right.rows[i] for i in range(c)]
     return IntMatrix.from_rows(rows)
 
 
@@ -160,57 +143,42 @@ class DihedralRep:
         condition for the module's apex to be the middle cell of level n."""
         return recover_n(self.b, bound=max(self.n, 3)) == self.n
 
-    def theta(self, length: int, first: int) -> IntMatrix:
-        return theta_word_matrix(self.b, length, first)
-
-    @property
-    def theta_1(self) -> IntMatrix:
-        return self.theta(1, 1)
-
-    @property
-    def theta_2(self) -> IntMatrix:
-        return self.theta(1, 2)
-
 
 # --- the candidate families -----------------------------------------------------
 
 
-def cell_rep_B(n: int, side: str = "wide") -> IntMatrix:
+def cell_rep_B(n: int) -> IntMatrix:
     """The staircase candidate at level n.
 
-    Odd n = 2k+1: the square k x k staircase (both sides coincide).
-    Even n = 2k: the (k-1) x k staircase for side="wide", its transpose for
-    side="tall".
+    Odd n = 2k+1: the square k x k staircase, equivalent to its transpose.
+    Even n = 2k: the wide (k-1) x k staircase; its transpose, the tall one,
+    is a candidate too.
 
-    >>> cell_rep_B(6, "wide").rows
+    >>> cell_rep_B(6).rows
     ((1, 1, 0), (0, 1, 1))
     """
-    if side not in ("wide", "tall"):
-        raise ValueError("side must be 'wide' or 'tall'")
     if n < 3:
         raise ValueError("level must be at least 3")
     if n % 2 == 1:
         k = (n - 1) // 2
         return make_staircase(k, k)
     k = n // 2
-    m = make_staircase(k - 1, k)
-    return m if side == "wide" else m.transpose()
+    return make_staircase(k - 1, k)
 
 
-def n_rep_B(n: int, side: str = "wide") -> IntMatrix:
-    """The extended-staircase candidate, defined at even levels only.
+def n_rep_B(n: int) -> IntMatrix:
+    """The wide extended-staircase candidate, defined at even levels only;
+    its transpose is a candidate too.
 
     Level n = 2k: for even k the column extension with square base
     (k/2, k/2); for odd k the column extension with base ((k-1)/2,
-    (k-1)/2 + 1).  side="tall" transposes.
+    (k-1)/2 + 1).
 
-    >>> n_rep_B(8, "wide").rows
+    >>> n_rep_B(8).rows
     ((1, 1, 1), (0, 0, 1))
-    >>> n_rep_B(6, "tall").rows
+    >>> n_rep_B(6).transpose().rows
     ((1,), (1,), (1,))
     """
-    if side not in ("wide", "tall"):
-        raise ValueError("side must be 'wide' or 'tall'")
     if n < 4 or n % 2 != 0:
         raise ValueError("extended candidates exist at even levels >= 4 only")
     k = n // 2
@@ -221,7 +189,7 @@ def n_rep_B(n: int, side: str = "wide") -> IntMatrix:
     m = make_extended_staircase(base[0], base[1], "column")
     if not annihilation_test(m, n):
         raise AssertionError("extended staircase fails its own level")
-    return m if side == "wide" else m.transpose()
+    return m
 
 
 _EXCEPTIONAL_LEVEL = {12: 1, 18: 2, 30: 3}
@@ -252,8 +220,9 @@ def enumerate_B(n: int) -> list[DihedralCandidate]:
     staircase, tall staircase, wide extension, tall extension, then the
     exceptional matrices (tagged hypothetical) at levels 12, 18 and 30.
     The extensions start at level 6: at level 4 the extended staircase is
-    the 1x2 staircase, as D3 = A3.  Every emitted matrix is checked to have
-    minimal level n.
+    the 1x2 staircase, as D3 = A3.  Each family member is built once, checked
+    to have minimal level n, and listed with its transpose (which has the
+    same level: the two Gram matrices swap), bar the odd-level staircase.
 
     >>> [c.matrix.shape for c in enumerate_B(6)]
     [(2, 3), (3, 2), (1, 3), (3, 1)]
@@ -264,28 +233,20 @@ def enumerate_B(n: int) -> list[DihedralCandidate]:
         raise ValueError("level must be at least 3")
     out: list[DihedralCandidate] = []
 
-    def add(matrix: IntMatrix, family: str, transposed: bool,
+    def add(matrix: IntMatrix, family: str, both: bool = True,
             hypothetical: bool = False, variant: int | None = None):
         if recover_n(matrix, bound=max(n, 3)) != n:
             raise AssertionError("candidate recovers the wrong level")
-        out.append(
-            DihedralCandidate(matrix, n, family, transposed, hypothetical, variant)
-        )
+        for transposed in (False, True) if both else (False,):
+            m = matrix.transpose() if transposed else matrix
+            out.append(DihedralCandidate(m, n, family, transposed, hypothetical, variant))
 
-    if n % 2 == 1:
-        add(cell_rep_B(n), "cell", transposed=False)
-    else:
-        add(cell_rep_B(n, "wide"), "cell", transposed=False)
-        add(cell_rep_B(n, "tall"), "cell", transposed=True)
-        if n >= 6:
-            add(n_rep_B(n, "wide"), "extension", transposed=False)
-            add(n_rep_B(n, "tall"), "extension", transposed=True)
+    add(cell_rep_B(n), "cell", both=n % 2 == 0)
+    if n % 2 == 0 and n >= 6:
+        add(n_rep_B(n), "extension")
     if n in _EXCEPTIONAL_LEVEL:
         k = _EXCEPTIONAL_LEVEL[n]
-        x = exceptional(k)
-        add(x, "exceptional", transposed=False, hypothetical=True, variant=k)
-        add(x.transpose(), "exceptional", transposed=True, hypothetical=True,
-            variant=k)
+        add(exceptional(k), "exceptional", hypothetical=True, variant=k)
     return out
 
 

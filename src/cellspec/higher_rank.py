@@ -278,30 +278,7 @@ def assembly_violations(
     return problems
 
 
-def verify_assembly(
-    system: CoxeterSystem,
-    sizes,
-    m: IntMatrix,
-    require_size_multiple: bool = False,
-) -> bool:
-    return not assembly_violations(system, sizes, m, require_size_multiple)
-
-
 # --- search ----------------------------------------------------------------------
-
-
-def rank2_blocks(order: int) -> list[IntMatrix]:
-    """The atomic edge-block components for a bond of the given order."""
-    if order == 3:
-        return [IntMatrix.identity(1)]
-    if order == 4:
-        return [
-            IntMatrix.from_rows([[1], [1]]),
-            IntMatrix.from_rows([[1, 1]]),
-        ]
-    if order == 5:
-        return [IntMatrix.from_rows([[1, 0], [1, 1]])]
-    raise ValueError("atoms are available for orders 3, 4 and 5")
 
 
 def _sizes_feasible(order: int, a: int, b: int) -> bool:

@@ -205,9 +205,7 @@ def reachable(adjacency, start=0) -> list:
 
 def slot_ranges(sizes, total: int) -> list[range]:
     """Consecutive index ranges of the given lengths, which must be positive
-    and sum to total; sizes None means the single range(total)."""
-    if sizes is None:
-        return [range(total)]
+    and sum to total."""
     sizes = list(sizes)
     if any(s < 1 for s in sizes) or sum(sizes) != total:
         raise ValueError("block sizes must be positive and sum to the dimension")

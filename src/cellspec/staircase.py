@@ -216,13 +216,6 @@ def canonical_form(m: IntMatrix) -> IntMatrix:
     return IntMatrix(min(arrangements))
 
 
-def equivalent(a: IntMatrix, b: IntMatrix) -> bool:
-    """Whether a and b differ by independent row and column permutations."""
-    if a.shape != b.shape:
-        return False
-    return canonical_form(a) == canonical_form(b)
-
-
 # --- validation and classification ----------------------------------------------
 
 
@@ -285,8 +278,6 @@ def _dynkin_key(m: IntMatrix):
         for j, entry in enumerate(row)
         if entry
     ]
-    if len(edges) != r + c - 1:
-        return None
     try:
         name = dynkin_type_of_graph(r + c, edges)
     except NotSimplyLacedDynkinError:

@@ -15,7 +15,7 @@ from cellspec.dihedral import (
     structure_constants,
     theta_word_matrix,
 )
-from cellspec.intmat import IntMatrix
+from cellspec.intmat import IntMatrix, pf_vector
 from oracles import cells_by_tarjan, law_failure_by_pairs, left_multiplications
 
 
@@ -238,11 +238,11 @@ class TestCells:
     def test_order_relation(self):
         algebra = based_algebra_of(5)
         two = algebra.cells("two_sided")
-        e_cell = two.cell_index_of(0)
+        e_cell = two.cell_of[0]
         big_cell = 1 - e_cell
         # the identity cell is below the big cell, not conversely
-        assert two.is_leq(e_cell, big_cell)
-        assert not two.is_leq(big_cell, e_cell)
+        assert two.leq[e_cell][big_cell]
+        assert not two.leq[big_cell][e_cell]
         assert two.maximal_among({e_cell, big_cell}) == (big_cell,)
         assert two.maximal_among({e_cell}) == (e_cell,)
 
@@ -302,7 +302,7 @@ class TestModules:
         for n in (4, 6, 8):
             for cand in enumerate_B(n):
                 module = based_module_of(DihedralRep(n, cand.matrix))
-                lam, vec = module.special_vector()
+                lam, vec = pf_vector(module.total_action())
                 assert lam > 0
                 vec = np.array(vec)
                 assert np.all(vec > 0)

@@ -64,6 +64,7 @@ class TestCells:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["cells", "A3", "--max-length", "-1"])
         assert excinfo.value.code == 2
+        assert "cells --max-length must be non-negative" in capsys.readouterr().err
 
 
 class TestFibpoly:
@@ -89,6 +90,7 @@ class TestFibpoly:
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["fibpoly", "--upto", "-3"])
         assert excinfo.value.code == 2
+        assert "fibpoly --upto must be non-negative" in capsys.readouterr().err
 
     def test_negative_index_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

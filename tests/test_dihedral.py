@@ -140,12 +140,12 @@ class TestEnumeration:
             assert cand.matrix == make_staircase(k, k)
 
     def test_named_constructors(self):
-        assert cell_rep_B(6, side="wide") == make_staircase(2, 3)
-        assert cell_rep_B(6, side="tall") == make_staircase(3, 2)
-        assert n_rep_B(6, side="wide").to_lists() == [[1, 1, 1]]
-        assert n_rep_B(6, side="tall").to_lists() == [[1], [1], [1]]
+        assert cell_rep_B(6) == make_staircase(2, 3)
+        assert cell_rep_B(6).transpose() == make_staircase(3, 2)
+        assert n_rep_B(6).to_lists() == [[1, 1, 1]]
+        assert n_rep_B(6).transpose().to_lists() == [[1], [1], [1]]
         with pytest.raises(ValueError):
-            n_rep_B(5, side="wide")
+            n_rep_B(5)
 
 
 class TestRep:
@@ -161,10 +161,11 @@ class TestRep:
     def test_theta_access(self):
         rep = DihedralRep(6, make_staircase(2, 3))
         t1, t2 = theta_generator_matrices(rep.b)
-        assert rep.theta_1 == t1 and rep.theta_2 == t2
-        assert rep.theta(6, 1).is_zero()
-        assert rep.theta(6, 2).is_zero()
-        assert not rep.theta(5, 1).is_zero()
+        assert theta_word_matrix(rep.b, 1, 1) == t1
+        assert theta_word_matrix(rep.b, 1, 2) == t2
+        assert theta_word_matrix(rep.b, 6, 1).is_zero()
+        assert theta_word_matrix(rep.b, 6, 2).is_zero()
+        assert not theta_word_matrix(rep.b, 5, 1).is_zero()
 
 
 class TestStructureConstants:

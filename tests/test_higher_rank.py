@@ -14,11 +14,9 @@ from cellspec.higher_rank import (
     assembly_violations,
     b_family_matrix,
     conjugation_canonical,
-    rank2_blocks,
     reflection_sign_matrix,
     shared_top_eigenvalue,
     special_modules,
-    verify_assembly,
 )
 from cellspec.intmat import IntMatrix, charpoly
 from frozen import REFERENCE_ASSEMBLIES
@@ -83,7 +81,6 @@ class TestVerifier:
             for sizes, rows in refs:
                 m = IntMatrix.from_rows(rows)
                 assert assembly_violations(system, sizes, m) == []
-                assert verify_assembly(system, sizes, m)
 
     def test_detects_wrong_diagonal(self):
         system = CoxeterSystem.from_name("B3")
@@ -149,15 +146,6 @@ class TestVerifier:
 
 
 class TestSearch:
-    def test_rank2_blocks(self):
-        assert [b.to_lists() for b in rank2_blocks(3)] == [[[1]]]
-        assert sorted(b.to_lists() for b in rank2_blocks(4)) == sorted(
-            [[[1], [1]], [[1, 1]]]
-        )
-        assert [b.to_lists() for b in rank2_blocks(5)] == [[[1, 0], [1, 1]]]
-        with pytest.raises(ValueError):
-            rank2_blocks(6)
-
     @pytest.mark.parametrize("name", ["B3", "H3", "F4", "B4", "H4"])
     def test_search_finds_exactly_the_references(self, name):
         system = CoxeterSystem.from_name(name)
@@ -231,7 +219,7 @@ class TestSearch:
         for name in ("B3", "F4"):
             system = CoxeterSystem.from_name(name)
             for cand in assembly_search(system, max_total=12):
-                assert verify_assembly(system, cand.sizes, cand.matrix)
+                assert not assembly_violations(system, cand.sizes, cand.matrix)
 
 
 class TestEdgeBlocks:
