@@ -34,9 +34,7 @@ from .dihedral import (
     annihilation_test,
     based_algebra_of,
     based_module_of,
-    cell_rep_B,
     enumerate_B,
-    n_rep_B,
     recover_n,
     structure_constants,
     theta_generator_matrices,
@@ -84,6 +82,7 @@ from .staircase import (
     SpectrumOutOfRangeError,
     brute_force_under4,
     canonical_form,
+    classes_of_type,
     classify_under4,
     exceptional,
     generators_for_shape,
@@ -120,10 +119,10 @@ __all__ = [
     "based_module_of",
     "brute_force_under4",
     "canonical_form",
-    "cell_rep_B",
     "cell_table",
     "charpoly",
     "check_fg_relation",
+    "classes_of_type",
     "classify_under4",
     "conjugation_canonical",
     "count_real_roots",
@@ -147,7 +146,6 @@ __all__ = [
     "max_root_bracket",
     "max_root_strictly_less",
     "minpoly_symmetric",
-    "n_rep_B",
     "pf_vector",
     "recover_n",
     "reflection_sign_matrix",

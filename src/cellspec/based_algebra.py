@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
-from .intmat import IntMatrix, is_irreducible_nonneg, reachable
+from .intmat import IntMatrix, _int_entry, is_irreducible_nonneg, reachable
 
 Gamma = tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -61,7 +61,7 @@ class BasedAlgebra:
     def make(labels, gamma, identity: int) -> "BasedAlgebra":
         labels = tuple(str(x) for x in labels)
         gamma = tuple(
-            tuple(tuple(int(c) for c in row) for row in plane) for plane in gamma
+            tuple(tuple(map(_int_entry, row)) for row in plane) for plane in gamma
         )
         algebra = BasedAlgebra(labels, gamma, identity)
         algebra.validate()

@@ -17,10 +17,11 @@ generator 2).  The matrix presents the level-n quotient exactly when
 f_n(B B^T) = 0 = f_n(B^T B); when that holds, the even top-right factor
 vanishes too, since H = (f_n/x)(G) B satisfies H H^T = (f_n/x)(G) f_n(G) = 0.
 
-The classified 0-1 matrices supply candidates: staircases realize the cell
-representations, extended staircases realize a second family at even levels,
-and the exceptional matrices give three sporadic candidates at levels 12, 18
-and 30 whose origin is left hypothetical.
+The classified 0-1 matrices supply candidates: level n takes the classes of
+the Dynkin types with Coxeter number n.  Staircases (A_(n-1)) realize the
+cell representations, extended staircases (D_(n/2+1)) a second family at
+even levels, and the exceptional matrices (E6, E7, E8) three sporadic
+candidates at levels 12, 18 and 30 whose origin is left hypothetical.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from functools import lru_cache
 from .based_algebra import BasedAlgebra, BasedModule
 from .fibpoly import IntPolynomial, eval_at_matrix, fib_f
 from .intmat import IntMatrix, gram, minpoly_symmetric
-from .staircase import exceptional, make_extended_staircase, make_staircase
+from .staircase import classes_of_type
 
 
 def theta_generator_matrices(b: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -147,54 +148,6 @@ class DihedralRep:
 # --- the candidate families -----------------------------------------------------
 
 
-def cell_rep_B(n: int) -> IntMatrix:
-    """The staircase candidate at level n.
-
-    Odd n = 2k+1: the square k x k staircase, equivalent to its transpose.
-    Even n = 2k: the wide (k-1) x k staircase; its transpose, the tall one,
-    is a candidate too.
-
-    >>> cell_rep_B(6).rows
-    ((1, 1, 0), (0, 1, 1))
-    """
-    if n < 3:
-        raise ValueError("level must be at least 3")
-    if n % 2 == 1:
-        k = (n - 1) // 2
-        return make_staircase(k, k)
-    k = n // 2
-    return make_staircase(k - 1, k)
-
-
-def n_rep_B(n: int) -> IntMatrix:
-    """The wide extended-staircase candidate, defined at even levels only;
-    its transpose is a candidate too.
-
-    Level n = 2k: for even k the column extension with square base
-    (k/2, k/2); for odd k the column extension with base ((k-1)/2,
-    (k-1)/2 + 1).
-
-    >>> n_rep_B(8).rows
-    ((1, 1, 1), (0, 0, 1))
-    >>> n_rep_B(6).transpose().rows
-    ((1,), (1,), (1,))
-    """
-    if n < 4 or n % 2 != 0:
-        raise ValueError("extended candidates exist at even levels >= 4 only")
-    k = n // 2
-    if k % 2 == 0:
-        base = (k // 2, k // 2)
-    else:
-        base = ((k - 1) // 2, (k - 1) // 2 + 1)
-    m = make_extended_staircase(base[0], base[1], "column")
-    if not annihilation_test(m, n):
-        raise AssertionError("extended staircase fails its own level")
-    return m
-
-
-_EXCEPTIONAL_LEVEL = {12: 1, 18: 2, 30: 3}
-
-
 @dataclass(frozen=True)
 class DihedralCandidate:
     """One entry of the level-n candidate list."""
@@ -215,14 +168,17 @@ class DihedralCandidate:
         return f"{self.family}{t} {shape}{tag}"
 
 
+_FAMILY = {"staircase": "cell", "extended_staircase": "extension"}
+
+
 def enumerate_B(n: int) -> list[DihedralCandidate]:
-    """All candidate matrices at level n, in the reference order: wide
-    staircase, tall staircase, wide extension, tall extension, then the
-    exceptional matrices (tagged hypothetical) at levels 12, 18 and 30.
-    The extensions start at level 6: at level 4 the extended staircase is
-    the 1x2 staircase, as D3 = A3.  Each family member is built once, checked
-    to have minimal level n, and listed with its transpose (which has the
-    same level: the two Gram matrices swap), bar the odd-level staircase.
+    """All candidate matrices at level n: the classes (classes_of_type) of
+    the simply laced Dynkin types with Coxeter number n.  In the reference
+    order these are A_(n-1), the staircases ("cell"), wide then tall at even
+    n; D_(n/2+1) at even n >= 6, the extended staircases ("extension"); and
+    E6, E7, E8 at levels 12, 18, 30, the exceptional matrices (tagged
+    hypothetical).  The first class of each type is checked to have minimal
+    level n; its transpose has the same level, as the two Gram matrices swap.
 
     >>> [c.matrix.shape for c in enumerate_B(6)]
     [(2, 3), (3, 2), (1, 3), (3, 1)]
@@ -231,22 +187,18 @@ def enumerate_B(n: int) -> list[DihedralCandidate]:
     """
     if n < 3:
         raise ValueError("level must be at least 3")
+    names = [f"A{n - 1}"] + [f"D{n // 2 + 1}"] * (n % 2 == 0 and n >= 6)
+    names += [f"E{m}" for m, h in ((6, 12), (7, 18), (8, 30)) if h == n]
     out: list[DihedralCandidate] = []
-
-    def add(matrix: IntMatrix, family: str, both: bool = True,
-            hypothetical: bool = False, variant: int | None = None):
-        if recover_n(matrix, bound=max(n, 3)) != n:
+    for name in names:
+        classes = classes_of_type(name)
+        if recover_n(classes[0].matrix, bound=n) != n:
             raise AssertionError("candidate recovers the wrong level")
-        for transposed in (False, True) if both else (False,):
-            m = matrix.transpose() if transposed else matrix
-            out.append(DihedralCandidate(m, n, family, transposed, hypothetical, variant))
-
-    add(cell_rep_B(n), "cell", both=n % 2 == 0)
-    if n % 2 == 0 and n >= 6:
-        add(n_rep_B(n), "extension")
-    if n in _EXCEPTIONAL_LEVEL:
-        k = _EXCEPTIONAL_LEVEL[n]
-        add(exceptional(k), "exceptional", hypothetical=True, variant=k)
+        for mc in classes:
+            family = _FAMILY.get(mc.kind, mc.kind)
+            out.append(DihedralCandidate(
+                mc.matrix, n, family, mc.transposed, family == "exceptional", mc.variant
+            ))
     return out
 
 

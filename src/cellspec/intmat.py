@@ -19,6 +19,13 @@ from .fibpoly import (
 )
 
 
+def _int_entry(c) -> int:
+    """c as an int; an entry that is not an int is refused, never truncated."""
+    if not isinstance(c, int):
+        raise TypeError(f"integer entries required, got {c!r}")
+    return int(c)
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """An immutable matrix of Python ints, stored as a tuple of row tuples.
@@ -34,7 +41,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        data = tuple(tuple(int(c) for c in row) for row in rows)
+        data = tuple(tuple(map(_int_entry, row)) for row in rows)
         if not data:
             raise ValueError("matrix needs at least one row")
         width = len(data[0])

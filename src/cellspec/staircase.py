@@ -14,12 +14,12 @@ below 2 exactly when it is a simply laced Dynkin diagram A_n, D_n, E6, E7
 or E8 (J. H. Smith, "Some properties of the spectrum of a graph", 1970;
 Goodman, de la Harpe and Jones, Coxeter Graphs and Towers of Algebras,
 1989, 1.4).  Staircases are the paths A_n, extended staircases the D_n and
-X1, X2, X3 the E6, E7, E8, so classify_under4 and the pruned search read
-the class off the Dynkin type.  The search builds its rows directly from
-the column subsets of size one to three, walks a wide shape as its
-transpose, and, as a subgraph never has a larger radius, drops a partial
-matrix as soon as its graph has a cycle, a vertex of degree 4 or a second
-vertex of degree 3.
+X1, X2, X3 the E6, E7, E8; classes_of_type builds the classes of each type,
+and classify_under4 and the pruned search read the class off the type.  The
+search builds its rows directly from the column subsets of size one to
+three, walks a wide shape as its transpose, and, as a subgraph never has a
+larger radius, drops a partial matrix as soon as its graph has a cycle, a
+vertex of degree 4 or a second vertex of degree 3.
 
 gram_spectrum_below_4 stays independent of that fact: it counts roots
 exactly, by Sturm sequences on the minimal polynomial of the smaller Gram
@@ -78,30 +78,17 @@ def make_staircase(n_rows: int, n_cols: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def make_extended_staircase(
-    base_rows: int, base_cols: int, extension: str = "column"
-) -> IntMatrix:
-    """A staircase with one extra tripled line.
+def make_extended_staircase(base_rows: int, base_cols: int) -> IntMatrix:
+    """The staircase of shape (base_rows, base_cols), base_cols >= base_rows,
+    with the column (1, 0, ..., 0)^T glued to its left, so that its first
+    row has three ones; the shape is (base_rows, base_cols + 1).  This is
+    the column extension; the row extension is its transpose.
 
-    extension="column" glues the column (1, 0, ..., 0)^T to the left of the
-    staircase of shape (base_rows, base_cols); it requires base_cols >=
-    base_rows so that the first row really acquires three ones.  The result
-    has shape (base_rows, base_cols + 1).  extension="row" is the transpose
-    construction: the transpose of the column extension of the transposed
-    base, of shape (base_rows + 1, base_cols), requiring base_rows >=
-    base_cols.
-
-    >>> make_extended_staircase(2, 2, "column").rows
+    >>> make_extended_staircase(2, 2).rows
     ((1, 1, 1), (0, 0, 1))
-    >>> make_extended_staircase(2, 2, "row").rows
-    ((1, 0), (1, 0), (1, 1))
-    >>> make_extended_staircase(2, 1, "row").rows
+    >>> make_extended_staircase(1, 2).transpose().rows
     ((1,), (1,), (1,))
     """
-    if extension == "row":
-        return make_extended_staircase(base_cols, base_rows, "column").transpose()
-    if extension != "column":
-        raise ValueError("extension must be 'row' or 'column'")
     if base_cols < base_rows:
         raise ValueError("column extension needs base_cols >= base_rows")
     base = make_staircase(base_rows, base_cols)
@@ -162,34 +149,45 @@ class MatrixClass:
         return f"{t}{self.kind} ({shape})"
 
 
-def generators_for_shape(n_rows: int, n_cols: int) -> list[MatrixClass]:
-    """All classification representatives of the exact given shape.
+def classes_of_type(name: str) -> list[MatrixClass]:
+    """The classes whose support graph is the simply laced Dynkin diagram
+    `name`: A_m (m >= 2), D_m (m >= 4), E6, E7 or E8.
 
-    Staircases exist when |r - c| <= 1, extensions when the shape difference
-    is 1 or 2 and r + c >= 4 (column extensions are wide, row extensions
-    tall; below 4 lines the extension is the staircase, as D3 = A3), and the
-    exceptional matrices at their six fixed shapes.  No two of these are
-    equal, since their support graphs have different Dynkin types or, for
-    an exceptional matrix and its transpose, shapes or branch halves.
+    The wide or square class comes first, then its transpose unless that is
+    the same class, as for the square staircases A_(2k).  A_m is the
+    staircase with m lines, D_m the column extension with m lines and E_m
+    the exceptional X_(m-5).  The level recover_n reads off each class is
+    the Coxeter number of the type: m + 1, 2m - 2, or 12, 18, 30.
+
+    >>> [mc.matrix.shape for mc in classes_of_type("A4") + classes_of_type("D5")]
+    [(2, 2), (2, 3), (3, 2)]
     """
-    out: list[MatrixClass] = []
-    r, c = n_rows, n_cols
-    if abs(r - c) <= 1:
-        out.append(MatrixClass("staircase", make_staircase(r, c), transposed=r > c))
-    if r + c >= 4 and c - r in (1, 2):
-        ext = make_extended_staircase(r, c - 1, "column")
-        out.append(MatrixClass("extended_staircase", ext))
-    if r + c >= 4 and r - c in (1, 2):
-        ext = make_extended_staircase(r - 1, c, "row")
-        out.append(MatrixClass("extended_staircase", ext, transposed=True))
-    for k, rows in _EXCEPTIONAL.items():
-        x = IntMatrix(rows)
-        if x.shape == (r, c):
-            out.append(MatrixClass("exceptional", x, variant=k))
-        if x.shape == (c, r):
-            xt = x.transpose()
-            out.append(MatrixClass("exceptional", xt, transposed=True, variant=k))
-    return out
+    family, m = name[:1], int(name[1:]) if name[1:].isdigit() else 0
+    if family == "A" and m >= 2:
+        mc = MatrixClass("staircase", make_staircase(m // 2, m - m // 2))
+    elif family == "D" and m >= 4:
+        r = (m - 1) // 2
+        mc = MatrixClass("extended_staircase", make_extended_staircase(r, m - r - 1))
+    elif family == "E" and 6 <= m <= 8:
+        mc = MatrixClass("exceptional", exceptional(m - 5), variant=m - 5)
+    else:
+        raise ValueError(f"no 0-1 class has Dynkin type {name!r}")
+    if family == "A" and m % 2 == 0:
+        return [mc]
+    return [mc, MatrixClass(mc.kind, mc.matrix.transpose(), True, mc.variant)]
+
+
+def generators_for_shape(n_rows: int, n_cols: int) -> list[MatrixClass]:
+    """All classification representatives of the exact given shape: the
+    classes of A_m, D_m and E_m, m = n_rows + n_cols, that have this shape.
+    Below 4 lines only A_m exists (D3 = A3).  No two are equal, since their
+    support graphs have different Dynkin types or, for an exceptional
+    matrix and its transpose, shapes or branch halves.
+    """
+    m = n_rows + n_cols
+    names = [f"A{m}"] + [f"D{m}"] * (m >= 4) + [f"E{m}"] * (6 <= m <= 8)
+    classes = [mc for name in names for mc in classes_of_type(name)]
+    return [mc for mc in classes if mc.matrix.shape == (n_rows, n_cols)]
 
 
 # --- canonical forms ------------------------------------------------------------
@@ -295,8 +293,8 @@ def classify_under4(m: IntMatrix) -> MatrixClass:
     when the corresponding hypothesis fails; otherwise returns the matching
     MatrixClass (its representative is the reference construction, equal to
     the input up to row and column permutations).  The spectrum is in range
-    exactly when the support is a Dynkin tree, and the class is the
-    representative of the shape with the same Dynkin key.
+    exactly when the support is a Dynkin tree, and the class is the one of
+    that type (classes_of_type) with the same shape and Dynkin key.
 
     >>> classify_under4(IntMatrix.from_rows([[1, 1, 0], [0, 1, 1]])).kind
     'staircase'
@@ -307,8 +305,8 @@ def classify_under4(m: IntMatrix) -> MatrixClass:
     key = _dynkin_key(m)
     if key is None:
         raise SpectrumOutOfRangeError("some Gram eigenvalue is at least 4")
-    for mc in generators_for_shape(m.n_rows, m.n_cols):
-        if _dynkin_key(mc.matrix) == key:
+    for mc in classes_of_type(key[0]):
+        if mc.matrix.shape == m.shape and _dynkin_key(mc.matrix) == key:
             return mc
     raise RuntimeError(
         "matrix passes all spectral tests but matches no known class; "

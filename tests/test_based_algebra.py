@@ -66,6 +66,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             BasedAlgebra.make(["a"], [[[1, 0]]], identity=0)
 
+    def test_non_integer_constant_rejected(self):
+        # 1.9 used to be truncated to the valid identity constant 1
+        with pytest.raises(TypeError, match="got 1.9"):
+            BasedAlgebra.make(["e"], [[[1.9]]], identity=0)
+
     def test_associativity_check_refuses_int64_overflow(self):
         # x*x = 2^32 y and y*x = 2^32 x, all other products of x and y zero:
         # (x*x)*x - x*(x*x) = 2^64 x, which wraps to 0 in int64.

@@ -11,16 +11,16 @@ from cellspec.dihedral import (
     annihilation_test,
     based_algebra_of,
     based_module_of,
-    cell_rep_B,
     enumerate_B,
-    n_rep_B,
     recover_n,
     structure_constants,
     theta_generator_matrices,
     theta_word_matrix,
 )
 from cellspec.intmat import IntMatrix
-from cellspec.staircase import canonical_form, exceptional, make_staircase
+from cellspec.staircase import (
+    canonical_form, classes_of_type, exceptional, make_staircase
+)
 from frozen import B_LIST_6, B_LIST_8, THETA_1_EXAMPLE, THETA_2_EXAMPLE, X_LEVEL
 from oracles import structure_constants_by_dense_ladder
 
@@ -88,7 +88,7 @@ class TestFusionRecursion:
 
 class TestAnnihilation:
     def test_staircase_round_trip(self):
-        for n in range(3, 17):
+        for n in range(3, 41):
             for cand in enumerate_B(n):
                 assert annihilation_test(cand.matrix, n), (n, cand.describe())
                 assert recover_n(cand.matrix) == n, (n, cand.describe())
@@ -140,12 +140,17 @@ class TestEnumeration:
             assert cand.matrix == make_staircase(k, k)
 
     def test_named_constructors(self):
-        assert cell_rep_B(6) == make_staircase(2, 3)
-        assert cell_rep_B(6).transpose() == make_staircase(3, 2)
-        assert n_rep_B(6).to_lists() == [[1, 1, 1]]
-        assert n_rep_B(6).transpose().to_lists() == [[1], [1], [1]]
+        # level 6 is the Coxeter number of A5 and of D4
+        cell = classes_of_type("A5")[0].matrix
+        assert cell == make_staircase(2, 3)
+        assert cell.transpose() == make_staircase(3, 2)
+        extension = classes_of_type("D4")[0].matrix
+        assert extension.to_lists() == [[1, 1, 1]]
+        assert extension.transpose().to_lists() == [[1], [1], [1]]
+        # no D type has the odd Coxeter number 5, and D3 is A3
+        assert [c.family for c in enumerate_B(5)] == ["cell"]
         with pytest.raises(ValueError):
-            n_rep_B(5)
+            classes_of_type("D3")
 
 
 class TestRep:

@@ -1,5 +1,6 @@
 import doctest
 import random
+import re
 from fractions import Fraction
 
 import mpmath
@@ -34,6 +35,11 @@ class TestBasics:
             IntMatrix.from_rows([[1, 2], [3]])
         with pytest.raises(ValueError):
             IntMatrix.from_rows([])
+
+    @pytest.mark.parametrize("entry", [1.7, 2.0, "1", None, 0.5 + 0j, Fraction(3, 2)])
+    def test_non_integer_entries_are_refused(self, entry):
+        with pytest.raises(TypeError, match=re.escape(f"got {entry!r}")):
+            IntMatrix.from_rows([[entry, 2]])
 
     def test_identity_and_zeros(self):
         assert IntMatrix.identity(2).rows == ((1, 0), (0, 1))

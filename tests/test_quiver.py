@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 import cellspec.quiver as quiver_module
-from cellspec.dihedral import cell_rep_B, n_rep_B
+from cellspec.dihedral import enumerate_B
 from cellspec.intmat import IntMatrix, spectrum_in_range
 from cellspec.quiver import (
     NotSimplyLacedDynkinError,
@@ -173,7 +173,7 @@ class TestReferenceMatrices:
         # the minimal even-level candidate gives the star with three arms,
         # then one longer arm as the level grows
         for n, expect in [(6, "D4"), (8, "D5"), (10, "D6")]:
-            b = n_rep_B(n)
+            b = next(c.matrix for c in enumerate_B(n) if c.family == "extension")
             r, c = b.shape
             rows = [
                 [0] * r + list(b.rows[i]) for i in range(r)
@@ -188,7 +188,7 @@ class TestReferenceMatrices:
             assert ZigzagAlgebra.from_m_matrix(m).dynkin_type() == expect
         # cell-sized candidates give paths
         for n in (6, 8, 10):
-            b = cell_rep_B(n)
+            b = enumerate_B(n)[0].matrix  # the wide staircase
             r, c = b.shape
             rows = [[0] * r + list(b.rows[i]) for i in range(r)]
             rows += [list(b.transpose().rows[j]) + [0] * c for j in range(c)]

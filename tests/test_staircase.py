@@ -48,7 +48,7 @@ class TestConstructors:
         assert make_extended_staircase(1, 2).rows == ((1, 1, 1),)
         assert make_extended_staircase(2, 2).rows == ((1, 1, 1), (0, 0, 1))
         with pytest.raises(ValueError):
-            make_extended_staircase(3, 1, "column")
+            make_extended_staircase(3, 1)
 
     def test_exceptional(self):
         for k, rows in X_MATRICES.items():

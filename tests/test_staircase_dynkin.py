@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellspec.dihedral import recover_n
 from cellspec.intmat import IntMatrix
 from cellspec.staircase import (
     SpectrumOutOfRangeError,
@@ -22,6 +23,7 @@ from cellspec.staircase import (
     _dynkin_members,
     brute_force_under4,
     canonical_form,
+    classes_of_type,
     classify_under4,
     generators_for_shape,
     gram_spectrum_below_4,
@@ -175,3 +177,30 @@ def test_a_long_single_row_is_searched_at_once():
     assert brute_force_under4(1, 13) == []
     assert _dynkin_members(1, 13) == []
     assert time.monotonic() - started < 0.5
+
+
+COXETER_NUMBERS = (
+    [(f"A{m}", m + 1) for m in range(2, 41)]
+    + [(f"D{m}", 2 * m - 2) for m in range(4, 41)]
+    + [("E6", 12), ("E7", 18), ("E8", 30)]
+)
+
+
+@pytest.mark.parametrize("name,coxeter", COXETER_NUMBERS)
+def test_classes_of_type(name, coxeter):
+    classes = classes_of_type(name)
+    for mc in classes:
+        assert _dynkin_key(mc.matrix)[0] == name
+        assert recover_n(mc.matrix) == coxeter
+    # only the square staircases of A_(2k) are their own transposes
+    square_path = name[0] == "A" and int(name[1:]) % 2 == 0
+    assert len(classes) == (1 if square_path else 2)
+    if not square_path:
+        assert classes[1].matrix == classes[0].matrix.transpose()
+        assert [mc.transposed for mc in classes] == [False, True]
+
+
+@pytest.mark.parametrize("name", ["", "A", "A1", "D3", "E5", "E9", "B3", "Dx"])
+def test_classes_of_type_refuses_other_names(name):
+    with pytest.raises(ValueError):
+        classes_of_type(name)
