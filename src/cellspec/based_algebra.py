@@ -18,33 +18,41 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
-from .intmat import IntMatrix, _int_entry, is_irreducible_nonneg, reachable
+from .intmat import IntMatrix, _int_rows, is_irreducible_nonneg, reachable
 
 Gamma = tuple[tuple[tuple[int, ...], ...], ...]
 
 
 def _check_law(algebra: "BasedAlgebra", acts, what: str) -> None:
-    """Check acts[i] @ acts[j] == sum_k gamma[i][j][k] acts[k] for every j
-    and the rows i in algebra.generators, which imply the rest: acts[i]
-    times all acts side by side against gamma[i] times all acts flattened.
-    On a failure every row is scanned, so the ValueError "<what> fails at
-    (label_i, label_j)" names the first failing pair in row-major order."""
-    n, d = len(acts), acts[0].n_rows
-    wide = IntMatrix(tuple(tuple(chain(*(a.rows[r] for a in acts))) for r in range(d)))
-    flat = IntMatrix(tuple(tuple(chain(*a.rows)) for a in acts))
+    """Check A_i A_j == sum_k gamma[i][j][k] A_k for every j and the rows i
+    in algebra.generators, which imply the rest.  acts[i][r] lists the
+    (column, entry) pairs of the nonzero entries in row r of A_i.  Row r of
+    each difference is formed over nonzeros only: A_i[r][m] times row m of
+    A_j for each nonzero A_i[r][m], less gamma[i][j][k] times row r of A_k
+    for each nonzero gamma[i][j][k] (algebra.nonzeros).  On a failure every
+    row is scanned, so the ValueError "<what> fails at (label_i, label_j)"
+    names the first failing pair in row-major order."""
+    nonzeros, n = algebra.nonzeros, len(acts)
+    zero = [0] * len(acts[0])
 
-    def failures(i: int) -> list[int]:
-        products = (acts[i] @ wide).rows
-        combos = (IntMatrix(algebra.gamma[i]) @ flat).rows
-        blocks = (chain(*(p[j * d:(j + 1) * d] for p in products)) for j in range(n))
-        return [j for j, block in enumerate(blocks) if tuple(block) != combos[j]]
+    def holds(i: int, j: int) -> bool:
+        right, terms = acts[j], nonzeros[i][j]
+        for r, row in enumerate(acts[i]):
+            acc = zero[:]
+            for m, a in row:
+                for col, b in right[m]:
+                    acc[col] += a * b
+            for k, g in terms:
+                for col, b in acts[k][r]:
+                    acc[col] -= g * b
+            if acc != zero:
+                return False
+        return True
 
-    if any(failures(i) for i in algebra.generators):
-        i = next(i for i in range(n) if failures(i))
-        left, right = algebra.labels[i], algebra.labels[failures(i)[0]]
-        raise ValueError(f"{what} fails at ({left}, {right})")
+    if not all(holds(i, j) for i in algebra.generators for j in range(n)):
+        i, j = next((i, j) for i in range(n) for j in range(n) if not holds(i, j))
+        raise ValueError(f"{what} fails at ({algebra.labels[i]}, {algebra.labels[j]})")
 
 
 @dataclass(frozen=True)
@@ -60,10 +68,7 @@ class BasedAlgebra:
     @staticmethod
     def make(labels, gamma, identity: int) -> "BasedAlgebra":
         labels = tuple(str(x) for x in labels)
-        gamma = tuple(
-            tuple(tuple(map(_int_entry, row)) for row in plane) for plane in gamma
-        )
-        algebra = BasedAlgebra(labels, gamma, identity)
+        algebra = BasedAlgebra(labels, tuple(map(_int_rows, gamma)), identity)
         algebra.validate()
         return algebra
 
@@ -71,11 +76,22 @@ class BasedAlgebra:
     def dimension(self) -> int:
         return len(self.labels)
 
+    @cached_property
+    def nonzeros(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+        """nonzeros[i][j]: the pairs (k, gamma[i][j][k]) with a nonzero
+        constant, in increasing k; the one sparse view of gamma that
+        validation and the cell steps read."""
+        return tuple(
+            tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
+            for plane in self.gamma
+        )
+
     def validate(self) -> None:
         """Check the identity index, the tensor shape, non-negativity, the
         identity laws and associativity, raising ValueError at the first
-        failure.  Associativity compares L_i L_j with
-        sum_k gamma[i][j][k] L_k for the left multiplication matrices L_i,
+        failure.  All but the first two read the nonzero constants only.
+        Associativity compares L_i L_j with sum_k gamma[i][j][k] L_k for
+        the left multiplication matrices L_i[k][j] = gamma[i][j][k],
         exactly, for the rows i in generators (see _check_law)."""
         n = self.dimension
         if not (0 <= self.identity < n):
@@ -85,17 +101,24 @@ class BasedAlgebra:
             for plane in self.gamma
         ):
             raise ValueError("tensor shape mismatch")
-        if min(min(row) for plane in self.gamma for row in plane) < 0:
+        nonzeros = self.nonzeros
+        if any(c < 0 for plane in nonzeros for row in plane for _, c in row):
             raise ValueError("negative structure constant")
         e = self.identity
         for j in range(n):
-            for k in range(n):
-                if self.gamma[e][j][k] != int(j == k):
-                    raise ValueError("identity fails on the left")
-                if self.gamma[j][e][k] != int(j == k):
-                    raise ValueError("identity fails on the right")
-        # L_i[k][j] = gamma[i][j][k]: each plane transposed
-        lefts = [IntMatrix(tuple(zip(*plane))) for plane in self.gamma]
+            unit = ((j, 1),)
+            if nonzeros[e][j] != unit or nonzeros[j][e] != unit:
+                # name the side that fails first in the dense order of k
+                for k in range(n):
+                    if self.gamma[e][j][k] != int(j == k):
+                        raise ValueError("identity fails on the left")
+                    if self.gamma[j][e][k] != int(j == k):
+                        raise ValueError("identity fails on the right")
+        lefts = [[[] for _ in range(n)] for _ in range(n)]
+        for i, plane in enumerate(nonzeros):
+            for j, row in enumerate(plane):
+                for k, c in row:
+                    lefts[i][k].append((j, c))
         _check_law(self, lefts, "associativity")
 
     @cached_property
@@ -114,8 +137,8 @@ class BasedAlgebra:
         n = self.dimension
 
         def times(g: int, support: frozenset) -> frozenset:
-            plane = self.gamma[g]
-            return frozenset(k for j in support for k, c in enumerate(plane[j]) if c)
+            plane = self.nonzeros[g]
+            return frozenset(k for j in support for k, _ in plane[j])
 
         kept, covered, gens = [], set(), []
         pending = [frozenset((self.identity,))]
@@ -141,16 +164,14 @@ class BasedAlgebra:
     def _one_step(self, side: str) -> list[set[int]]:
         """succ[j] = basis elements reachable from j in one multiplication
         step on the given side."""
-        left = side in ("left", "two_sided")
-        right = side in ("right", "two_sided")
-        succ: list[set[int]] = [set() for _ in range(self.dimension)]
-        for i, plane in enumerate(self.gamma):
-            for j, row in enumerate(plane):
-                support = [k for k, c in enumerate(row) if c]
-                if left:
-                    succ[j].update(support)
-                if right:
-                    succ[i].update(support)
+        nonzeros = self.nonzeros
+        succ: list[set[int]] = [set() for _ in nonzeros]
+        if side != "right":  # a_k in a_i a_j lies above a_j
+            for j, step in enumerate(succ):
+                step.update(k for plane in nonzeros for k, _ in plane[j])
+        if side != "left":  # and above a_i
+            for step, plane in zip(succ, nonzeros):
+                step.update(k for row in plane for k, _ in row)
         return succ
 
     def cells(self, side: str) -> "CellPartition":
@@ -224,9 +245,10 @@ class BasedModule:
         """Check one square non-negative action per basis element, the
         identity action and the module law A_i A_j = sum_k gamma[i][j][k] A_k,
         raising ValueError at the first failure.  The law is checked
-        exactly, on the rows of the algebra's generators (see _check_law);
-        these imply every row only over an associative algebra, so the
-        algebra must be validated, as BasedAlgebra.make does."""
+        exactly, over the nonzero entries of the actions and constants, on
+        the rows of the algebra's generators (see _check_law); these imply
+        every row only over an associative algebra, so the algebra must be
+        validated, as BasedAlgebra.make does."""
         n = self.algebra.dimension
         if len(self.actions) != n:
             raise ValueError("one action matrix per basis element required")
@@ -238,7 +260,11 @@ class BasedModule:
                 raise ValueError("negative entry in an action matrix")
         if self.actions[self.algebra.identity] != IntMatrix.identity(d):
             raise ValueError("identity must act as the identity matrix")
-        _check_law(self.algebra, self.actions, "module law")
+        acts = [
+            [[(col, c) for col, c in enumerate(row) if c] for row in m.rows]
+            for m in self.actions
+        ]
+        _check_law(self.algebra, acts, "module law")
 
     def total_action(self) -> IntMatrix:
         total = IntMatrix.zeros(self.dimension, self.dimension)

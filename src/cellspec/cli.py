@@ -389,7 +389,9 @@ def _cmd_cells_of_algebra(args) -> int:
     results = {}
     lines = []
     for side in ("left", "right", "two_sided"):
-        partition = algebra.cells(side)
+        partition = (
+            algebra.two_sided_cells if side == "two_sided" else algebra.cells(side)
+        )
         cells = [
             [algebra.labels[i] for i in cell] for cell in partition.cells
         ]

@@ -48,8 +48,12 @@ class IntPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         for c in cs:
-            if not isinstance(c, int):
-                raise TypeError(f"integer coefficients required, got {c!r}")
+            if type(c) is not int:  # refuse non-ints, store bools as ints
+                bad = [d for d in cs if not isinstance(d, int)]
+                if bad:
+                    raise TypeError(f"integer coefficients required, got {bad[0]!r}")
+                cs = list(map(int, cs))
+                break
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
@@ -368,14 +372,18 @@ def fib_irreducible_factor(i: int) -> IntPolynomial:
 
 
 def eval_at_matrix(p: IntPolynomial, m):
-    """Evaluate p at a square IntMatrix by Horner's rule, exactly.
+    """Evaluate p at a square IntMatrix m by Horner's rule, exactly.
 
-    The constant term contributes c * identity.  Works with any matrix type
-    offering __matmul__, __add__, int __rmul__ and identity_like().
+    Each step multiplies by m and adds the next coefficient to the
+    diagonal; no multiple of the identity is built.
     """
     acc = 0 * m.identity_like()
     for c in reversed(p.coeffs):
-        acc = acc @ m + c * m.identity_like()
+        acc = acc @ m
+        if c:
+            acc = type(m)(tuple(
+                row[:i] + (row[i] + c,) + row[i + 1:] for i, row in enumerate(acc.rows)
+            ))
     return acc
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .fibpoly import (
     IntPolynomial, _MaxRootBisection, _sign_at, count_roots_in, squarefree_part
@@ -24,6 +25,16 @@ def _int_entry(c) -> int:
     if not isinstance(c, int):
         raise TypeError(f"integer entries required, got {c!r}")
     return int(c)
+
+
+def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
+    """rows as a tuple of int tuples.  One type scan passes rows of plain
+    ints through; otherwise every entry goes through _int_entry, so a bool
+    is stored as an int and the first non-int is refused by name."""
+    data = tuple(map(tuple, rows))
+    if set(map(type, chain.from_iterable(data))) <= {int}:
+        return data
+    return tuple(tuple(map(_int_entry, row)) for row in data)
 
 
 @dataclass(frozen=True)
@@ -41,7 +52,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
-        data = tuple(tuple(map(_int_entry, row)) for row in rows)
+        data = _int_rows(rows)
         if not data:
             raise ValueError("matrix needs at least one row")
         width = len(data[0])

@@ -184,6 +184,8 @@ def generators_for_shape(n_rows: int, n_cols: int) -> list[MatrixClass]:
     support graphs have different Dynkin types or, for an exceptional
     matrix and its transpose, shapes or branch halves.
     """
+    if n_rows < 1 or n_cols < 1:
+        raise ValueError("shape entries must be positive")
     m = n_rows + n_cols
     names = [f"A{m}"] + [f"D{m}"] * (m >= 4) + [f"E{m}"] * (6 <= m <= 8)
     classes = [mc for name in names for mc in classes_of_type(name)]
