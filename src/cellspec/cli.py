@@ -19,6 +19,7 @@ from .based_algebra import BasedAlgebra
 from .coxeter import CoxeterSystem, cell_table
 from .dihedral import (
     DihedralRep,
+    _level_of_minpolys,
     based_algebra_of,
     based_module_of,
     enumerate_B,
@@ -171,8 +172,10 @@ def _cmd_matspec(args) -> int:
             mp = minpoly_symmetric(m)
             results["minpoly"] = _poly_json(mp)
             lines.append(f"minimal polynomial: {mp}")
-    results["gram_left_minpoly"] = _poly_json(minpoly_symmetric(gram(m, "left")))
-    results["gram_right_minpoly"] = _poly_json(minpoly_symmetric(gram(m, "right")))
+    left = minpoly_symmetric(gram(m, "left"))
+    right = minpoly_symmetric(gram(m, "right"))
+    results["gram_left_minpoly"] = _poly_json(left)
+    results["gram_right_minpoly"] = _poly_json(right)
     below = gram_spectrum_below_4(m)
     results["gram_spectrum_below_4"] = below
     lines.append(f"left Gram minimal polynomial: {results['gram_left_minpoly']['text']}")
@@ -181,7 +184,7 @@ def _cmd_matspec(args) -> int:
     )
     lines.append(f"gram spectrum inside [0, 4): {'yes' if below else 'no'}")
     try:
-        level = recover_n(m)
+        level = _level_of_minpolys(left, right)
         results["dihedral_level"] = level
         lines.append(f"smallest annihilating level: {level}")
     except ValueError:

@@ -114,6 +114,12 @@ def recover_n(b: IntMatrix, bound: int = 120) -> int:
     """
     p = minpoly_symmetric(gram(b, "left"))
     q = minpoly_symmetric(gram(b, "right"))
+    return _level_of_minpolys(p, q, bound)
+
+
+def _level_of_minpolys(p: IntPolynomial, q: IntPolynomial, bound: int = 120) -> int:
+    """The smallest level n >= 3 such that f_n is divisible by both minimal
+    polynomials p and q; ValueError when no level up to the bound works."""
     for n in range(3, bound + 1):
         f = fib_f(n)
         if (f % p).is_zero() and (f % q).is_zero():
@@ -219,18 +225,39 @@ def _word_ladder(gen_1: IntMatrix, gen_2: IntMatrix, top: int) -> dict:
     generator g = 1, 2 of lengths 1..top, keyed by (g, length), from
     L(1, 1) = gen_1 and L(2, 1) = gen_2 by the ladder
     L(g, length) = L(g, 1) L(3-g, length-1) - L(g, length-2), with nothing
-    subtracted at length 2.
+    subtracted at length 2.  Each row r is formed directly as
+    -L(g, length-2)[r] (zeros at length 2) plus c L(3-g, length-1)[m] for
+    each nonzero entry c at (r, m) of the generator, the first term taken
+    together with the negation.
 
     >>> gen_1, gen_2 = IntMatrix(((2, 1), (0, 0))), IntMatrix(((0, 0), (1, 2)))
     >>> words = _word_ladder(gen_1, gen_2, 3)
     >>> words[(1, 2)].rows, words[(1, 3)].rows
     (((1, 2), (0, 0)), ((0, 0), (0, 0)))
     """
+    nonzero = {
+        g: [[(m, c) for m, c in enumerate(row) if c] for row in gen.rows]
+        for g, gen in ((1, gen_1), (2, gen_2))
+    }
     words = {(1, 1): gen_1, (2, 1): gen_2}
     for length in range(2, top + 1):
         for g in (1, 2):
-            word = words[(g, 1)] @ words[(3 - g, length - 1)]
-            words[(g, length)] = word - words[(g, length - 2)] if length > 2 else word
+            factor = words[(3 - g, length - 1)].rows
+            if length > 2:
+                backs = words[(g, length - 2)].rows
+            else:
+                backs = [(0,) * len(factor[0])] * len(nonzero[g])
+            word = []
+            for back, terms in zip(backs, nonzero[g]):
+                if not terms:
+                    word.append(tuple([-a for a in back]))
+                    continue
+                (m, c), *rest = terms
+                acc = tuple([c * b - a for a, b in zip(back, factor[m])])
+                for m, c in rest:
+                    acc = tuple([a + c * b for a, b in zip(acc, factor[m])])
+                word.append(acc)
+            words[(g, length)] = IntMatrix(tuple(word))
     return words
 
 

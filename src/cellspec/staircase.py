@@ -19,7 +19,8 @@ and classify_under4 and the pruned search read the class off the type.  The
 search builds its rows directly from the column subsets of size one to
 three, walks a wide shape as its transpose, and, as a subgraph never has a
 larger radius, drops a partial matrix as soon as its graph has a cycle, a
-vertex of degree 4 or a second vertex of degree 3.
+vertex of degree 4 or a second vertex of degree 3; it takes the columns no
+row has used yet in one order only.
 
 gram_spectrum_below_4 stays independent of that fact: it counts roots
 exactly, by Sturm sequences on the minimal polynomial of the smaller Gram
@@ -28,6 +29,7 @@ matrix, and it is the test of the unpruned search.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 
@@ -334,6 +336,18 @@ def _dynkin_members(n_rows: int, n_cols: int) -> list[IntMatrix]:
     forest with r + c - 1 edges on r + c vertices is a tree, so each leaf is
     connected, is in range exactly when it is a Dynkin tree, and its class
     is its Dynkin key.
+
+    The columns no row has used yet are interchangeable, so the walk takes
+    them in one order only (orderly generation, after Read 1978 and McKay
+    1998): the columns a row uses for the first time are the highest-indexed
+    unused ones.  The unused columns are then always 0..u-1, and a support S
+    is admissible at u exactly when S meets [0, u) in u-k..u-1 for
+    k = |S & [0, u)|.  No class is lost, since every canonical form obeys
+    the rule: if a row used a new column j while a higher unused column j'
+    stayed empty in it, swapping j and j' would keep the earlier rows and
+    make this row, hence the sorted matrix, smaller.  Every prefix of a
+    Dynkin tree's sorted rows passes the prunes, so each canonical form is
+    a leaf.
     """
     rows = sorted(
         tuple(int(j in s) for j in range(n_cols))
@@ -341,13 +355,23 @@ def _dynkin_members(n_rows: int, n_cols: int) -> list[IntMatrix]:
         for s in itertools.combinations(range(n_cols), k)
     )
     supports = [tuple(j for j, e in enumerate(row) if e) for row in rows]
+    # admissible[u]: (row index, new columns, support) of each row allowed
+    # while the columns 0..u-1 are unused
+    admissible = []
+    for u in range(n_cols + 1):
+        allowed = []
+        for idx, support in enumerate(supports):
+            new = [j for j in support if j < u]
+            if new == list(range(u - len(new), u)):
+                allowed.append((idx, len(new), support))
+        admissible.append(allowed)
     edges = n_rows + n_cols - 1
     members: dict = {}
     chosen: list[tuple[int, ...]] = []
     component = list(range(n_cols))  # a label per column; equal when connected
     degree = [0] * n_cols  # of each column
 
-    def extend(start: int, ones: int, branches: int):
+    def extend(start: int, ones: int, branches: int, unused: int):
         if len(chosen) == n_rows:
             m = IntMatrix(tuple(chosen))
             key = _dynkin_key(m)
@@ -355,8 +379,8 @@ def _dynkin_members(n_rows: int, n_cols: int) -> list[IntMatrix]:
                 members.setdefault(key, m)
             return
         later = n_rows - len(chosen) - 1  # rows still to pick after this one
-        for idx in range(start, len(rows)):
-            support = supports[idx]
+        allowed = admissible[unused]
+        for idx, new, support in allowed[bisect.bisect_left(allowed, (start,)):]:
             total = ones + len(support)
             if not total + later <= edges <= total + 3 * later:
                 continue
@@ -378,13 +402,13 @@ def _dynkin_members(n_rows: int, n_cols: int) -> list[IntMatrix]:
             for j in support:
                 degree[j] += 1
             chosen.append(rows[idx])
-            extend(idx, total, new_branches)
+            extend(idx, total, new_branches, unused - new)
             chosen.pop()
             for j in support:
                 degree[j] -= 1
             component[:] = saved
 
-    extend(0, 0, 0)
+    extend(0, 0, 0, n_cols)
     return list(members.values())
 
 
