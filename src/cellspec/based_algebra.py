@@ -253,11 +253,11 @@ class BasedModule:
         if len(self.actions) != n:
             raise ValueError("one action matrix per basis element required")
         d = self.actions[0].n_rows
-        for m in self.actions:
+        for label, m in zip(self.algebra.labels, self.actions):
             if m.shape != (d, d):
-                raise ValueError("action matrices must share one square shape")
+                raise ValueError(f"the action of {label} is not a {d} x {d} matrix")
             if min(map(min, m.rows)) < 0:
-                raise ValueError("negative entry in an action matrix")
+                raise ValueError(f"negative entry in the action matrix of {label}")
         if self.actions[self.algebra.identity] != IntMatrix.identity(d):
             raise ValueError("identity must act as the identity matrix")
         acts = [

@@ -26,7 +26,9 @@ from .dihedral import (
     recover_n,
     structure_constants,
 )
-from .fibpoly import check_fg_relation, fib_f, fib_g, fib_irreducible_factor
+from .fibpoly import (
+    check_fg_relation, fib_f, fib_g, fib_irreducible_factor, squarefree_part
+)
 from .higher_rank import (
     assembly_violations,
     shared_top_eigenvalue,
@@ -43,12 +45,15 @@ from .staircase import (
 )
 
 
-def _check_json_ints(data, what: str) -> None:
-    """Raise ValueError unless every entry of the nested JSON lists is an
-    integer; floats, strings and booleans are refused, never truncated."""
-    if isinstance(data, list):
+def _check_json_ints(data, what: str, depth: int) -> None:
+    """Raise ValueError unless data is JSON lists nested depth deep with an
+    integer at every leaf; floats, strings and booleans are refused, never
+    truncated."""
+    if depth:
+        if not isinstance(data, list):
+            raise ValueError(f"{what} needs a list in place of {json.dumps(data)}")
         for item in data:
-            _check_json_ints(item, what)
+            _check_json_ints(item, what, depth - 1)
     elif isinstance(data, bool) or not isinstance(data, int):
         raise ValueError(f"{what} entry {json.dumps(data)} is not an integer")
 
@@ -56,10 +61,12 @@ def _check_json_ints(data, what: str) -> None:
 def _matrix_from_text(text: str) -> IntMatrix:
     data = json.loads(text)
     if isinstance(data, dict):
+        if "entries" not in data:
+            raise ValueError("matrix object has no 'entries' key")
         data = data["entries"]
     if not isinstance(data, list) or not data:
         raise ValueError("matrix must be a non-empty list of rows")
-    _check_json_ints(data, "matrix")
+    _check_json_ints(data, "matrix", 2)
     return IntMatrix.from_rows(data)
 
 
@@ -169,7 +176,7 @@ def _cmd_matspec(args) -> int:
         results["charpoly"] = _poly_json(p)
         lines.append(f"characteristic polynomial: {p}")
         if m.is_symmetric():
-            mp = minpoly_symmetric(m)
+            mp = squarefree_part(p)
             results["minpoly"] = _poly_json(mp)
             lines.append(f"minimal polynomial: {mp}")
     left = minpoly_symmetric(gram(m, "left"))
@@ -178,10 +185,8 @@ def _cmd_matspec(args) -> int:
     results["gram_right_minpoly"] = _poly_json(right)
     below = gram_spectrum_below_4(m)
     results["gram_spectrum_below_4"] = below
-    lines.append(f"left Gram minimal polynomial: {results['gram_left_minpoly']['text']}")
-    lines.append(
-        f"right Gram minimal polynomial: {results['gram_right_minpoly']['text']}"
-    )
+    lines.append(f"left Gram minimal polynomial: {left}")
+    lines.append(f"right Gram minimal polynomial: {right}")
     lines.append(f"gram spectrum inside [0, 4): {'yes' if below else 'no'}")
     try:
         level = _level_of_minpolys(left, right)
@@ -287,7 +292,12 @@ def _cmd_dihedral_table(args) -> int:
 
 def _cmd_verify_rank3(args) -> int:
     system = CoxeterSystem.from_name(args.type)
-    sizes = tuple(int(x) for x in args.sizes.split(","))
+    try:
+        sizes = tuple(int(x) for x in args.sizes.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--sizes must be comma-separated integers, got {args.sizes!r}"
+        ) from None
     m = _load_matrix(args)
     problems = assembly_violations(
         system, sizes, m, require_size_multiple=args.require_size_multiple
@@ -380,11 +390,15 @@ def _cmd_cells_of_algebra(args) -> int:
             raise ValueError("provide --gamma-file or --dihedral-n")
         with open(args.gamma_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict) or "gamma" not in data:
+            raise ValueError("--gamma-file must hold a JSON object with a 'gamma' key")
+        _check_json_ints(data["gamma"], "gamma", 3)
+        _check_json_ints(data.get("identity", 0), "identity", 0)
         labels = data.get("labels") or [
             str(i) for i in range(len(data["gamma"]))
         ]
-        _check_json_ints(data["gamma"], "gamma")
-        _check_json_ints(data.get("identity", 0), "identity")
+        if not isinstance(labels, list):
+            raise ValueError(f"labels must be a list, got {json.dumps(labels)}")
         algebra = BasedAlgebra.make(
             labels, data["gamma"], identity=data.get("identity", 0)
         )

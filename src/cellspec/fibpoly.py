@@ -96,7 +96,8 @@ class IntPolynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("IntPolynomial", self.coeffs))
+        # a constant equals its int (see __eq__), so it hashes as that int
+        return hash(self.coeffs if len(self.coeffs) > 1 else sum(self.coeffs))
 
     def __add__(self, other) -> "IntPolynomial":
         other = _coerce(other)

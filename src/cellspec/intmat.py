@@ -1,7 +1,7 @@
 """Exact integer matrices with the spectral helpers the rest of the package needs.
 
 The core object is an immutable IntMatrix over Z.  Characteristic polynomials
-are computed by the Faddeev-LeVerrier recursion (exact integer arithmetic),
+come from Berkowitz's recursion (integer products and sums, no division),
 minimal polynomials of symmetric matrices come from the squarefree part of the
 characteristic polynomial, and root location in intervals is delegated to the
 Sturm machinery in fibpoly.  Products run over the nonzero entries of the
@@ -158,32 +158,30 @@ def gram(x: IntMatrix, side: str = "right") -> IntMatrix:
 def charpoly(m: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial det(xI - M), monic, exact.
 
-    Faddeev-LeVerrier: M_1 = M, c_1 = -tr(M_1), and
-    M_{k+1} = M (M_k + c_k I), c_{k+1} = -tr(M_{k+1})/(k+1); every division
-    is exact in Z.
+    Berkowitz (1984), with no division: for the leading k x k block A, the
+    first k entries R of row k and C of column k, and a = M[k][k], multiply
+    the coefficients of det(xI - A), top degree first, by the lower-triangular
+    Toeplitz matrix with first column (1, -a, -RC, -RAC, ..., -RA^(k-1)C).
 
     >>> str(charpoly(IntMatrix.from_rows([[2, 1], [1, 2]])))
     'x^2 - 4x + 3'
     """
     if not m.is_square():
         raise ValueError("characteristic polynomial needs a square matrix")
-    n = m.n_rows
-    if n == 0:
-        return IntPolynomial.one()
-    ident = IntMatrix.identity(n)
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mk = m
-    ck = -mk.trace()
-    coeffs[n - 1] = ck
-    for k in range(1, n):
-        mk = m @ (mk + ck * ident)
-        t = mk.trace()
-        if t % (k + 1) != 0:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible")
-        ck = -t // (k + 1)
-        coeffs[n - 1 - k] = ck
-    return IntPolynomial(coeffs)
+    coeffs = [1]  # det(xI - A), top degree first
+    for k, row in enumerate(m.rows):
+        # A above R, as the nonzero entries of each row
+        block = [[(j, c) for j, c in enumerate(r[:k]) if c] for r in m.rows[: k + 1]]
+        v = [r[k] for r in m.rows[:k]]  # A^j C
+        t = [1, -row[k]]
+        for _ in range(k):
+            *v, rv = [sum(c * v[j] for j, c in r) for r in block]
+            t.append(-rv)
+        coeffs = [
+            sum(t[i - j] * c for j, c in enumerate(coeffs[: i + 1]))
+            for i in range(k + 2)
+        ]
+    return IntPolynomial(coeffs[::-1])
 
 
 def minpoly_symmetric(m: IntMatrix) -> IntPolynomial:

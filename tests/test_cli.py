@@ -109,15 +109,21 @@ class TestMatspec:
         assert results["dihedral_level"] is None
 
     @pytest.mark.parametrize(
-        "text, entry",
-        [("[[1.7,0],[1,1]]", "1.7"), ('[[true,0],[1,"1"]]', "true"),
-         ('[[1,0],[1,"1"]]', '"1"')],
+        "text, message",
+        [("[[1.7,0],[1,1]]", "matrix entry 1.7 is not an integer"),
+         ('[[true,0],[1,"1"]]', "matrix entry true is not an integer"),
+         ('[[1,0],[1,"1"]]', 'matrix entry "1" is not an integer'),
+         ("[1,2]", "matrix needs a list in place of 1"),
+         ("[[1],2]", "matrix needs a list in place of 2"),
+         ('{"entries":[1]}', "matrix needs a list in place of 1"),
+         ("[[[1]]]", "matrix entry [1] is not an integer"),
+         ('{"rows":1}', "matrix object has no 'entries' key")],
     )
-    def test_non_integer_entry_is_a_domain_error(self, capsys, text, entry):
+    def test_malformed_matrix_is_a_domain_error(self, capsys, text, message):
         code, out, err = run_cli(capsys, "matspec", "--matrix", text)
         assert code == 1
         assert out == ""
-        assert f"entry {entry} is not an integer" in err
+        assert err == f"error: {message}\n"
 
     def test_staircase_report_recovers_the_level(self, capsys):
         report = run_json(capsys, "matspec", "--matrix", "[[1,0],[1,1]]")
@@ -162,6 +168,19 @@ class TestClassifyMatrix:
         code, out, err = run_cli(capsys, "classify-matrix")
         assert code == 1
         assert "matrix" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[1,2]", "matrix needs a list in place of 1"),
+         ('{"rows":1}', "matrix object has no 'entries' key")],
+    )
+    def test_malformed_matrix_file_is_a_domain_error(
+        self, capsys, tmp_path, text, message
+    ):
+        path = tmp_path / "m.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "classify-matrix", "--matrix-file", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestOracleUnder4:
@@ -324,7 +343,7 @@ class TestVerifyRank3:
             self.REFERENCE,
         )
         assert code == 1
-        assert err.startswith("error:")
+        assert err == "error: --sizes must be comma-separated integers, got '2,x'\n"
 
 
 class TestSpecial:
@@ -397,13 +416,22 @@ class TestCellsOfAlgebra:
         assert results["right"] == [["e", "g"]]
         assert results["two_sided"] == [["e", "g"]]
 
-    def test_gamma_file_non_integer_entry_is_a_domain_error(self, capsys, tmp_path):
-        data = {"gamma": [[[1, 0], [0, 1]], [[0, 1], [1.0, 0]]], "identity": 0}
+    @pytest.mark.parametrize(
+        "data, message",
+        [({"gamma": [[[1, 0], [0, 1]], [[0, 1], [1.0, 0]]], "identity": 0},
+          "gamma entry 1.0 is not an integer"),
+         ([1], "--gamma-file must hold a JSON object with a 'gamma' key"),
+         ({"labels": ["e"]}, "--gamma-file must hold a JSON object with a 'gamma' key"),
+         ({"gamma": [1]}, "gamma needs a list in place of 1"),
+         ({"gamma": 5}, "gamma needs a list in place of 5"),
+         ({"gamma": [[[1]]], "identity": [0]}, "identity entry [0] is not an integer"),
+         ({"gamma": [[[1]]], "labels": 5}, "labels must be a list, got 5")],
+    )
+    def test_malformed_gamma_file_is_a_domain_error(self, capsys, tmp_path, data, message):
         path = tmp_path / "c2.json"
         path.write_text(json.dumps(data), encoding="utf-8")
         code, out, err = run_cli(capsys, "cells-of-algebra", "--gamma-file", str(path))
-        assert code == 1
-        assert "gamma entry 1.0 is not an integer" in err
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
     def test_missing_source_is_a_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "cells-of-algebra")
@@ -431,6 +459,12 @@ class TestApex:
         code, out, err = run_cli(capsys, "apex", "--matrix", "[[1,1],[1,1]]")
         assert code == 1
         assert err.startswith("error:")
+
+    def test_negative_action_names_the_basis_element(self, capsys):
+        # the words 121 and 212 act on the module of [[0]] by -2
+        code, out, err = run_cli(capsys, "apex", "--matrix", "[[0]]")
+        assert (code, out) == (1, "")
+        assert err == "error: negative entry in the action matrix of 121\n"
 
 
 class TestJsonContract:

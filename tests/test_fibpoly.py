@@ -92,6 +92,13 @@ class TestIntPolynomial:
         assert p.primitive_part() == IntPolynomial((2, -3, 1))
         assert (-1 * p).primitive_part() == IntPolynomial((2, -3, 1))
 
+    @pytest.mark.parametrize("c", [0, 3, -5, 2**70])
+    def test_a_constant_hashes_as_its_int(self, c):
+        p = IntPolynomial((c,))
+        assert p == c and hash(p) == hash(c)
+        assert p in {c} and c in {p}
+        assert len({c, p}) == 1
+
     def test_str(self):
         assert str(IntPolynomial((1, -3, 1))) == "x^2 - 3x + 1"
         assert str(IntPolynomial.zero()) == "0"
