@@ -96,11 +96,22 @@ class BasedAlgebra:
         n = self.dimension
         if not (0 <= self.identity < n):
             raise ValueError("identity index out of range")
-        if len(self.gamma) != n or any(
-            len(plane) != n or any(len(row) != n for row in plane)
-            for plane in self.gamma
-        ):
-            raise ValueError("tensor shape mismatch")
+        if len(self.gamma) != n:
+            raise ValueError(
+                f"tensor shape mismatch: {n} labels for "
+                f"a basis of size {len(self.gamma)}"
+            )
+        for i, plane in enumerate(self.gamma):
+            if len(plane) != n:
+                raise ValueError(
+                    f"tensor shape mismatch: plane {i} has length {len(plane)}, not {n}"
+                )
+            for j, row in enumerate(plane):
+                if len(row) != n:
+                    raise ValueError(
+                        f"tensor shape mismatch: plane {i} row {j} has length "
+                        f"{len(row)}, not {n}"
+                    )
         nonzeros = self.nonzeros
         if any(c < 0 for plane in nonzeros for row in plane for _, c in row):
             raise ValueError("negative structure constant")
@@ -267,10 +278,9 @@ class BasedModule:
         _check_law(self.algebra, acts, "module law")
 
     def total_action(self) -> IntMatrix:
-        total = IntMatrix.zeros(self.dimension, self.dimension)
-        for m in self.actions:
-            total = total + m
-        return total
+        """The sum of all action matrices."""
+        rows = zip(*(m.rows for m in self.actions))
+        return IntMatrix(tuple(tuple(map(sum, zip(*row))) for row in rows))
 
     def is_transitive(self) -> bool:
         """Whether the summed action of all basis elements is irreducible."""

@@ -58,8 +58,16 @@ def _check_json_ints(data, what: str, depth: int) -> None:
         raise ValueError(f"{what} entry {json.dumps(data)} is not an integer")
 
 
-def _matrix_from_text(text: str) -> IntMatrix:
-    data = json.loads(text)
+def _parse_json(text: str, what: str):
+    """json.loads, with nesting too deep for the parser refused by name."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} is nested too deeply to parse") from None
+
+
+def _matrix_from_text(text: str, what: str) -> IntMatrix:
+    data = _parse_json(text, what)
     if isinstance(data, dict):
         if "entries" not in data:
             raise ValueError("matrix object has no 'entries' key")
@@ -72,10 +80,10 @@ def _matrix_from_text(text: str) -> IntMatrix:
 
 def _load_matrix(args) -> IntMatrix:
     if getattr(args, "matrix", None):
-        return _matrix_from_text(args.matrix)
+        return _matrix_from_text(args.matrix, "--matrix")
     if getattr(args, "matrix_file", None):
         with open(args.matrix_file, "r", encoding="utf-8") as fh:
-            return _matrix_from_text(fh.read())
+            return _matrix_from_text(fh.read(), "--matrix-file")
     raise ValueError("provide --matrix or --matrix-file")
 
 
@@ -389,7 +397,7 @@ def _cmd_cells_of_algebra(args) -> int:
         if not args.gamma_file:
             raise ValueError("provide --gamma-file or --dihedral-n")
         with open(args.gamma_file, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = _parse_json(fh.read(), "--gamma-file")
         if not isinstance(data, dict) or "gamma" not in data:
             raise ValueError("--gamma-file must hold a JSON object with a 'gamma' key")
         _check_json_ints(data["gamma"], "gamma", 3)

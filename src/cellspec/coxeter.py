@@ -57,44 +57,6 @@ class CoxeterSystem:
         return CoxeterSystem(name, rank, tuple(tuple(row) for row in mat))
 
     @staticmethod
-    def type_a(n: int) -> "CoxeterSystem":
-        """Path 1 - 2 - ... - n, all bonds of order 3."""
-        if n < 1:
-            raise ValueError("rank must be at least 1")
-        edges = {(i, i + 1): 3 for i in range(1, n)}
-        return CoxeterSystem._from_edges(f"A{n}", n, edges)
-
-    @staticmethod
-    def type_b(n: int) -> "CoxeterSystem":
-        """Path with m(1,2) = 4 and simple bonds afterwards."""
-        if n < 2:
-            raise ValueError("rank must be at least 2")
-        edges = {(1, 2): 4}
-        edges.update({(i, i + 1): 3 for i in range(2, n)})
-        return CoxeterSystem._from_edges(f"B{n}", n, edges)
-
-    @staticmethod
-    def type_d(n: int) -> "CoxeterSystem":
-        """Path 1 - 2 - ... - (n-1) with the extra vertex n attached to 2."""
-        if n < 4:
-            raise ValueError("rank must be at least 4")
-        edges = {(i, i + 1): 3 for i in range(1, n - 1)}
-        edges[(2, n)] = 3
-        return CoxeterSystem._from_edges(f"D{n}", n, edges)
-
-    @staticmethod
-    def type_f4() -> "CoxeterSystem":
-        return CoxeterSystem._from_edges("F4", 4, {(1, 2): 3, (2, 3): 4, (3, 4): 3})
-
-    @staticmethod
-    def type_h3() -> "CoxeterSystem":
-        return CoxeterSystem._from_edges("H3", 3, {(1, 2): 5, (2, 3): 3})
-
-    @staticmethod
-    def type_h4() -> "CoxeterSystem":
-        return CoxeterSystem._from_edges("H4", 4, {(1, 2): 5, (2, 3): 3, (3, 4): 3})
-
-    @staticmethod
     def dihedral(m: int) -> "CoxeterSystem":
         """Rank 2 with m(1,2) = m."""
         if m < 3:
@@ -103,27 +65,44 @@ class CoxeterSystem:
 
     @staticmethod
     def from_name(token: str) -> "CoxeterSystem":
-        """Parse names like A3, B4, D5, F4, H3, H4, I2_7 (also I2(7))."""
+        """Parse names like A3, B4 (also C4), D5, E6, F4, H3, G2 and I2_7 (also
+        I2(7)); G2 is I2_6.  Each non-dihedral type is the path 1 - 2 - ... - n
+        of order-3 bonds with at most one change for its family; E has
+        Bourbaki labels.
+
+        >>> CoxeterSystem.from_name("E6").m(2, 4)
+        3
+        """
         t = token.strip().upper().replace("(", "_").rstrip(")")
+        if t == "G2":
+            t = "I2_6"
         if t.startswith("I2_"):
             return CoxeterSystem.dihedral(int(t[3:]))
-        family, digits = t[0], t[1:]
+        family, digits = t[:1], t[1:]
         if not digits.isdigit():
             raise ValueError(f"cannot parse Coxeter type {token!r}")
         n = int(digits)
-        if family == "A":
-            return CoxeterSystem.type_a(n)
-        if family == "B" or family == "C":
-            return CoxeterSystem.type_b(n)
-        if family == "D":
-            return CoxeterSystem.type_d(n)
-        if family == "F" and n == 4:
-            return CoxeterSystem.type_f4()
-        if family == "H" and n == 3:
-            return CoxeterSystem.type_h3()
-        if family == "H" and n == 4:
-            return CoxeterSystem.type_h4()
-        raise ValueError(f"unsupported Coxeter type {token!r}")
+        family = "B" if family == "C" else family
+        least = {"A": 1, "B": 2, "D": 4}
+        if family in least:
+            if n < least[family]:
+                raise ValueError(f"rank must be at least {least[family]}")
+        elif f"{family}{n}" not in ("E6", "E7", "E8", "F4", "H3", "H4"):
+            raise ValueError(f"unsupported Coxeter type {token!r}")
+        edges = {(i, i + 1): 3 for i in range(1, n)}
+        if family == "B":
+            edges[(1, 2)] = 4
+        elif family == "H":
+            edges[(1, 2)] = 5
+        elif family == "F":
+            edges[(2, 3)] = 4
+        elif family == "D":
+            del edges[(n - 1, n)]
+            edges[(2, n)] = 3
+        elif family == "E":
+            del edges[(1, 2)], edges[(2, 3)]
+            edges[(1, 3)] = edges[(2, 4)] = 3
+        return CoxeterSystem._from_edges(f"{family}{n}", n, edges)
 
 
 def braid_neighbors(system: CoxeterSystem, word: Word):

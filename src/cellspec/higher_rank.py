@@ -141,8 +141,9 @@ def special_modules(name: str) -> list[AssemblyCandidate]:
 
 
 def reflection_sign_matrix(name: str) -> IntMatrix:
-    """The small comparison matrix for H3 (3x3) or H4 (4x4) over Z[phi], with
-    diagonal 2, -phi on the order-5 bond and -1 on simple bonds, written over
+    """The small comparison matrix for H3 (3x3) or H4 (4x4) over Z[phi],
+    -2cos(pi/m(i, j)) read from the Coxeter matrix (2 on the diagonal, -phi
+    on the order-5 bond, -1 on simple bonds, 0 elsewhere), written over
     the integers: each entry a + b*phi becomes the 2x2 block [[a, b], [b, a + b]]
     of multiplication by it, so the result is 6x6 or 8x8.  Its eigenvalues
     are those of the matrix over Z[phi] together with their Galois conjugates.
@@ -153,16 +154,11 @@ def reflection_sign_matrix(name: str) -> IntMatrix:
     token = name.strip().upper()
     if token not in ("H3", "H4"):
         raise ValueError("reflection comparison exists for H3 and H4 only")
-    n = 3 if token == "H3" else 4
-    entries = [[(0, 0)] * n for _ in range(n)]
-    for i in range(n):
-        entries[i][i] = (2, 0)
-    entries[0][1] = entries[1][0] = (0, -1)
-    for i in range(1, n - 1):
-        entries[i][i + 1] = entries[i + 1][i] = (-1, 0)
+    entry = {1: (2, 0), 2: (0, 0), 3: (-1, 0), 5: (0, -1)}
     # a + b*phi times 1 is a + b*phi, times phi is b + (a + b)*phi
     rows = []
-    for row in entries:
+    for bonds in CoxeterSystem.from_name(token).coxeter_matrix:
+        row = [entry[m] for m in bonds]
         rows.append(tuple(v for a, b in row for v in (a, b)))
         rows.append(tuple(v for a, b in row for v in (b, a + b)))
     return IntMatrix(tuple(rows))

@@ -60,6 +60,14 @@ class TestCells:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("name, size", [("E6", 36), ("E7", 49), ("E8", 64)])
+    def test_exceptional_types(self, capsys, name, size):
+        assert run_json(capsys, "cells", name)["results"]["size"] == size
+
+    def test_g2_is_i2_6(self, capsys):
+        g2 = run_json(capsys, "cells", "G2")
+        assert g2["results"] == run_json(capsys, "cells", "I2_6")["results"]
+
     def test_negative_max_length_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["cells", "A3", "--max-length", "-1"])
@@ -124,6 +132,17 @@ class TestMatspec:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("flag", ["--matrix", "--matrix-file"])
+    def test_deep_nesting_is_a_domain_error(self, capsys, tmp_path, flag):
+        text = "[" * 100_000 + "]" * 100_000
+        if flag == "--matrix-file":
+            path = tmp_path / "m.json"
+            path.write_text(text, encoding="utf-8")
+            text = str(path)
+        code, out, err = run_cli(capsys, "matspec", flag, text)
+        message = f"error: {flag} is nested too deeply to parse\n"
+        assert (code, out, err) == (1, "", message)
 
     def test_staircase_report_recovers_the_level(self, capsys):
         report = run_json(capsys, "matspec", "--matrix", "[[1,0],[1,1]]")
@@ -432,6 +451,28 @@ class TestCellsOfAlgebra:
         path.write_text(json.dumps(data), encoding="utf-8")
         code, out, err = run_cli(capsys, "cells-of-algebra", "--gamma-file", str(path))
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [({"gamma": [[[1]]], "labels": ["a", "b"]},
+          "tensor shape mismatch: 2 labels for a basis of size 1"),
+         ({"gamma": [[[1], [2]]]},
+          "tensor shape mismatch: plane 0 has length 2, not 1"),
+         ({"gamma": [[[1, 0], [0, 1]], [[0, 1], [1]]]},
+          "tensor shape mismatch: plane 1 row 1 has length 1, not 2")],
+    )
+    def test_shape_mismatch_names_the_part(self, capsys, tmp_path, data, message):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code, out, err = run_cli(capsys, "cells-of-algebra", "--gamma-file", str(path))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_deep_nesting_is_a_domain_error(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text('{"gamma": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        code, out, err = run_cli(capsys, "cells-of-algebra", "--gamma-file", str(path))
+        message = "error: --gamma-file is nested too deeply to parse\n"
+        assert (code, out, err) == (1, "", message)
 
     def test_missing_source_is_a_domain_error(self, capsys):
         code, out, err = run_cli(capsys, "cells-of-algebra")

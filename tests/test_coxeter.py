@@ -14,7 +14,7 @@ from cellspec.coxeter import (
     is_reduced,
     tits_orbit,
 )
-from frozen import CELL_TABLES, CELL_TABLE_SIZES
+from frozen import CELL_TABLES, CELL_TABLE_SIZES, COXETER_MATRICES
 from oracles import (
     cayley_unique_word_elements,
     dihedral_gens,
@@ -47,10 +47,39 @@ class TestSystems:
             CoxeterSystem.from_name("Z9")
 
     def test_coxeter_matrix_shape(self):
-        s = CoxeterSystem.type_d(4)
+        s = CoxeterSystem.from_name("D4")
         assert s.m(1, 2) == 3 and s.m(2, 4) == 3 and s.m(3, 4) == 2
-        s = CoxeterSystem.type_f4()
+        s = CoxeterSystem.from_name("F4")
         assert [s.m(1, 2), s.m(2, 3), s.m(3, 4)] == [3, 4, 3]
+
+    @pytest.mark.parametrize("name", sorted(COXETER_MATRICES))
+    def test_pinned_matrices(self, name):
+        stored, rows = COXETER_MATRICES[name]
+        s = CoxeterSystem.from_name(name)
+        assert (s.name, s.rank) == (stored, len(rows))
+        assert s.coxeter_matrix == tuple(tuple(map(int, r.split())) for r in rows)
+
+    def test_aliases(self):
+        assert CoxeterSystem.from_name("G2") == CoxeterSystem.from_name("I2_6")
+        assert CoxeterSystem.from_name("C5") == CoxeterSystem.from_name("B5")
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [("", "cannot parse Coxeter type ''"),
+         ("A0", "rank must be at least 1"),
+         ("C1", "rank must be at least 2"),
+         ("D3", "rank must be at least 4"),
+         ("E5", "unsupported Coxeter type 'E5'"),
+         ("E9", "unsupported Coxeter type 'E9'"),
+         ("F5", "unsupported Coxeter type 'F5'"),
+         ("H5", "unsupported Coxeter type 'H5'"),
+         ("G3", "unsupported Coxeter type 'G3'"),
+         ("I2_2", "dihedral order must be at least 3")],
+    )
+    def test_refused_names(self, token, message):
+        with pytest.raises(ValueError) as info:
+            CoxeterSystem.from_name(token)
+        assert str(info.value) == message
 
 
 class TestReducedWords:
@@ -118,6 +147,48 @@ class TestDihedralCounts:
         assert len(table.box(1, 2)) == off
         assert len(table.box(2, 1)) == off
         assert max(len(w) for w in table.elements) == k - 1
+
+
+def tree_path(system, i, j):
+    """The vertices of the path from i to j in a tree-shaped diagram."""
+    paths = {i: (i,)}
+    frontier = [i]
+    while frontier:
+        v = frontier.pop()
+        for u in system.generators:
+            if u not in paths and system.m(v, u) > 2:
+                paths[u] = paths[v] + (u,)
+                frontier.append(u)
+    return paths[j]
+
+
+SIMPLY_LACED = (
+    [f"A{n}" for n in range(1, 9)]
+    + [f"D{n}" for n in range(4, 9)]
+    + ["E6", "E7", "E8"]
+)
+
+
+class TestSimplyLacedTrees:
+    """In a simply laced type whose diagram is a tree, the elements with a
+    unique reduced expression are the paths between two vertices, so box
+    (i, j) holds the single path from i to j and J has rank**2 elements."""
+
+    @pytest.mark.parametrize("name", SIMPLY_LACED)
+    def test_rank_squared_paths(self, name):
+        system = CoxeterSystem.from_name(name)
+        table = cell_table(system)
+        assert table.size == system.rank**2
+        for i in system.generators:
+            for j in system.generators:
+                assert table.box(i, j) == (tree_path(system, i, j),), (i, j)
+
+    @pytest.mark.parametrize("name", ["E6", "E7", "E8", "G2"])
+    def test_matches_orbit_filter(self, name):
+        system = CoxeterSystem.from_name(name)
+        words = enumerate_J(system)
+        cap = max(len(w) for w in words) + 1
+        assert words == enumerate_J_by_orbit_filter(system, cap)
 
 
 class TestGroupOracle:
