@@ -76,12 +76,12 @@ class CoxeterSystem:
         t = token.strip().upper().replace("(", "_").rstrip(")")
         if t == "G2":
             t = "I2_6"
-        if t.startswith("I2_"):
-            return CoxeterSystem.dihedral(int(t[3:]))
-        family, digits = t[:1], t[1:]
-        if not digits.isdigit():
+        family, digits = ("I2", t[3:]) if t.startswith("I2_") else (t[:1], t[1:])
+        if not digits.isdecimal():
             raise ValueError(f"cannot parse Coxeter type {token!r}")
         n = int(digits)
+        if family == "I2":
+            return CoxeterSystem.dihedral(n)
         family = "B" if family == "C" else family
         least = {"A": 1, "B": 2, "D": 4}
         if family in least:

@@ -15,8 +15,9 @@ largest root increases strictly with i, approaching 4.
 
 Everything here is exact: coefficients are Python ints and no floats appear
 anywhere.  Euclid runs in Z[x]: gcds and Sturm chains are built from
-primitive pseudo-remainders, so Fractions appear only as bisection points
-and root bounds.  Root counting uses Sturm chains of primitive integer
+primitive pseudo-remainders.  Bisection runs on integer numerators over one
+common denominator, so Fractions appear only in root bounds and the returned
+brackets.  Root counting uses Sturm chains of primitive integer
 polynomials, built once per polynomial and cached by coefficient tuple; the
 sign of a chain member at a rational point n/q is decided in integers.
 """
@@ -433,12 +434,11 @@ def _variations(signs) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _sign_at(p: IntPolynomial, x) -> int:
-    """Sign of p at the rational x = n/q (an int or Fraction, so q > 0).
+def _sign_at(p: IntPolynomial, n: int, q: int) -> int:
+    """Sign of p at the rational n/q, for ints n and q > 0, not necessarily coprime.
 
     The homogeneous Horner sum is q^d * p(n/q) with d = deg p, and q^d > 0,
     so its sign is the answer; only ints are involved."""
-    n, q = x.numerator, x.denominator
     acc = 0
     q_power = 1
     for c in reversed(p.coeffs):
@@ -447,17 +447,24 @@ def _sign_at(p: IntPolynomial, x) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_at_inf(p: IntPolynomial, positive: bool) -> int:
-    lc = p.leading_coefficient
-    s = (lc > 0) - (lc < 0)
-    if not positive and p.degree % 2 == 1:
-        s = -s
-    return s
+def _variations_at(chain, n: int, q: int) -> int:
+    """Sign variations of a Sturm chain at the rational n/q, q > 0."""
+    return _variations([_sign_at(p, n, q) for p in chain])
 
 
-def _variations_at(chain, x) -> int:
-    """Sign variations of a Sturm chain at the rational x."""
-    return _variations([_sign_at(q, x) for q in chain])
+def _variations_at_inf(chain, s: int) -> int:
+    """Sign variations of a Sturm chain at s * infinity, s = 1 or -1."""
+    return _variations(
+        [(1 if p.leading_coefficient > 0 else -1) * s ** p.degree for p in chain]
+    )
+
+
+def _finite_end(name: str, x):
+    """The interval end x as a Fraction, None (an infinite end) as None."""
+    try:
+        return None if x is None else Fraction(x)
+    except (ValueError, OverflowError):  # nan, inf
+        raise ValueError(f"{name} must be finite or None, got {x!r}") from None
 
 
 def count_roots_in(p: IntPolynomial, lo=None, hi=None) -> int:
@@ -465,19 +472,19 @@ def count_roots_in(p: IntPolynomial, lo=None, hi=None) -> int:
 
     lo=None means -infinity, hi=None means +infinity.  Exact, via Sturm's
     theorem; endpoint roots are handled by the usual drop-zero-signs rule
-    (a root at lo is excluded, a root at hi included).
+    (a root at lo is excluded, a root at hi included).  A nan or infinite
+    end, or lo > hi, raises ValueError.
     """
+    a, b = _finite_end("lo", lo), _finite_end("hi", hi)
+    if a is not None and b is not None and a > b:
+        raise ValueError(f"lo={lo!r} is greater than hi={hi!r}")
     chain = sturm_chain(p)
     if chain[0].degree <= 0:
         return 0
-    if lo is None:
-        v_lo = _variations([_sign_at_inf(q, positive=False) for q in chain])
-    else:
-        v_lo = _variations_at(chain, Fraction(lo))
-    if hi is None:
-        v_hi = _variations([_sign_at_inf(q, positive=True) for q in chain])
-    else:
-        v_hi = _variations_at(chain, Fraction(hi))
+    v_lo = _variations_at_inf(chain, -1) if a is None else _variations_at(
+        chain, a.numerator, a.denominator)
+    v_hi = _variations_at_inf(chain, 1) if b is None else _variations_at(
+        chain, b.numerator, b.denominator)
     return v_lo - v_hi
 
 
@@ -486,7 +493,7 @@ def count_real_roots(p: IntPolynomial) -> int:
 
 
 def root_bound(p: IntPolynomial) -> Fraction:
-    """A Cauchy bound: every real root lies in (-B, B]."""
+    """A Cauchy bound: every real root lies in (-B, B)."""
     if p.is_zero() or p.degree <= 0:
         return Fraction(1)
     lc = abs(p.leading_coefficient)
@@ -496,42 +503,50 @@ def root_bound(p: IntPolynomial) -> Fraction:
 
 class _MaxRootBisection:
     """Bisection of (-B, B], B = root_bound(p), towards the largest real root
-    of p.  The bracket (a, b] always holds that root, so no root lies above b
-    and the chain's variation count at b stays what it was at B: each step
-    evaluates the chain only at the midpoint.  Once (a, b] holds no other
-    root, the squarefree part chain[0] (positive leading coefficient) is
-    negative on (a, root) and positive above, so its sign at the midpoint
-    alone decides the step.  Refining to a smaller width continues from the
-    current bracket, which takes the same midpoints as starting again from
-    the root bound."""
+    of p, in ints: the bracket is (a/q, b/q], and a step doubles a, b and q
+    and takes a + b as the midpoint.  The Cauchy bound is strict, so every
+    root lies in (-B, B), and the chain's variation count changes only at
+    roots of chain[0]: the counts at -B and B are those at -inf and +inf,
+    which differ iff p has a real root.  The bracket holds the largest root,
+    so the count at b stays that at +inf and each step evaluates the chain at
+    the midpoint only.  Once (a, b] holds no other root, the squarefree part
+    chain[0] (positive leading coefficient) is negative on (a, root) and
+    positive above, so its sign at the midpoint alone decides the step.
+    Refining to a smaller width continues from the current bracket, which
+    takes the same midpoints as starting again from the root bound."""
 
     def __init__(self, p: IntPolynomial):
-        if count_real_roots(p) == 0:
-            raise ValueError("polynomial has no real root")
         self.chain = sturm_chain(p)
-        self.b = root_bound(p)
-        self.a = -self.b
-        self.v_b = _variations_at(self.chain, self.b)
-        self.v_a = _variations_at(self.chain, self.a)
+        self.v_a, self.v_b = (_variations_at_inf(self.chain, s) for s in (-1, 1))
+        if self.v_a == self.v_b:
+            raise ValueError("polynomial has no real root")
+        bound = root_bound(p)
+        self.a, self.b, self.q = -bound.numerator, bound.numerator, bound.denominator
 
     def refine(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        while self.b - self.a > width:
-            mid = (self.a + self.b) / 2
-            if self.v_a == self.v_b + 1:  # (a, b] holds no other root
-                v_mid = self.v_a if _sign_at(self.chain[0], mid) < 0 else self.v_b
+        chain, a, b, q, v_a, v_b = self.chain, self.a, self.b, self.q, self.v_a, self.v_b
+        while (b - a) * width.denominator > width.numerator * q:
+            mid, a, b, q = a + b, 2 * a, 2 * b, 2 * q
+            if v_a == v_b + 1:  # (a, b] holds no other root
+                v_mid = v_a if _sign_at(chain[0], mid, q) < 0 else v_b
             else:
-                v_mid = _variations_at(self.chain, mid)
-            if v_mid > self.v_b:  # a root in (mid, b]
-                self.a, self.v_a = mid, v_mid
+                v_mid = _variations_at(chain, mid, q)
+            if v_mid > v_b:  # a root in (mid, b]
+                a, v_a = mid, v_mid
             else:
-                self.b = mid
-        return self.a, self.b
+                b = mid
+        self.a, self.b, self.q, self.v_a = a, b, q, v_a
+        return Fraction(a, q), Fraction(b, q)
 
 
 def max_root_bracket(p: IntPolynomial, width: Fraction) -> tuple[Fraction, Fraction]:
     """An interval (a, b] of length <= width containing exactly the largest
     real root of p.  Requires p to have at least one real root and width to
-    be a positive finite number."""
+    be a positive finite number.
+
+    >>> max_root_bracket(IntPolynomial([-2, 0, 1]), Fraction(1, 8))
+    (Fraction(45, 32), Fraction(3, 2))
+    """
     if not 0 < width < math.inf:
         raise ValueError(f"width must be positive and finite, got {width!r}")
     return _MaxRootBisection(p).refine(Fraction(width))

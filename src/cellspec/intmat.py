@@ -268,11 +268,11 @@ def spectrum_in_range(m: IntMatrix, lo, hi) -> bool:
     hi = Fraction(hi)
     # roots strictly below lo: count in (-inf, lo] minus a root exactly at lo
     below = count_roots_in(p, None, lo)
-    if _sign_at(p, lo) == 0:
+    if _sign_at(p, lo.numerator, lo.denominator) == 0:
         below -= 1
     if below > 0:
         return False
-    if _sign_at(p, hi) == 0:
+    if _sign_at(p, hi.numerator, hi.denominator) == 0:
         return False
     return count_roots_in(p, hi, None) == 0
 

@@ -282,13 +282,17 @@ def classify_by_canonical_form(m):
 
 
 def max_root_bracket_by_bisection(p: IntPolynomial, width: Fraction):
-    """Reference for fibpoly.max_root_bracket on a squarefree p.
+    """Reference for fibpoly.max_root_bracket.
 
     Bisects (-B, B], with the Cauchy bound B = 1 + max|c_i| / |c_d|, keeping
     the upper half whenever it holds a root, until the bracket is at most
     width wide.  Root counts come from the classical Sturm sequence of p
     with Fraction coefficients (negated remainders, no rescaling), evaluated
-    in Fraction at both ends of the upper half at every step."""
+    in Fraction at both ends of the upper half at every step.  When p has
+    repeated roots the sequence ends at gcd(p, p'), which vanishes there
+    with every member; each member is then divided by it, the textbook
+    sequence of the squarefree part, so a midpoint on a repeated root is
+    counted right."""
     seq = [
         [Fraction(c) for c in p.coeffs],
         [Fraction(i * c) for i, c in enumerate(p.coeffs) if i],
@@ -307,6 +311,8 @@ def max_root_bracket_by_bisection(p: IntPolynomial, width: Fraction):
         if not rem:
             break
         seq.append([-c for c in rem])
+    if len(seq[-1]) > 1:
+        seq = [_fraction_quotient(poly, seq[-1]) for poly in seq]
 
     def variations(x):
         signs = []
@@ -327,6 +333,18 @@ def max_root_bracket_by_bisection(p: IntPolynomial, width: Fraction):
         else:
             b = mid
     return a, b
+
+
+def _fraction_quotient(num, den):
+    """The quotient num / den of ascending Fraction coefficient lists, for a
+    den that divides num exactly."""
+    num, quotient = list(num), [Fraction(0)] * (len(num) - len(den) + 1)
+    for k in range(len(quotient) - 1, -1, -1):
+        quotient[k] = num[k + len(den) - 1] / den[-1]
+        for j, c in enumerate(den):
+            num[j + k] -= quotient[k] * c
+    assert not any(num), "inexact division"
+    return quotient
 
 
 def enumerate_J_by_orbit_filter(system, max_length):

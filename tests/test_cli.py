@@ -60,6 +60,11 @@ class TestCells:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("name", ["I2_x", "I2(x)"])
+    def test_unparsable_dihedral_order_is_a_domain_error(self, capsys, name):
+        code, out, err = run_cli(capsys, "cells", name)
+        assert (code, out, err) == (1, "", f"error: cannot parse Coxeter type '{name}'\n")
+
     @pytest.mark.parametrize("name, size", [("E6", 36), ("E7", 49), ("E8", 64)])
     def test_exceptional_types(self, capsys, name, size):
         assert run_json(capsys, "cells", name)["results"]["size"] == size

@@ -74,7 +74,11 @@ class TestSystems:
          ("F5", "unsupported Coxeter type 'F5'"),
          ("H5", "unsupported Coxeter type 'H5'"),
          ("G3", "unsupported Coxeter type 'G3'"),
-         ("I2_2", "dihedral order must be at least 3")],
+         ("I2_2", "dihedral order must be at least 3"),
+         ("I2_x", "cannot parse Coxeter type 'I2_x'"),
+         ("I2(x)", "cannot parse Coxeter type 'I2(x)'"),
+         ("I2_", "cannot parse Coxeter type 'I2_'"),
+         ("A\u00b2", "cannot parse Coxeter type 'A\u00b2'")],
     )
     def test_refused_names(self, token, message):
         with pytest.raises(ValueError) as info:

@@ -305,6 +305,114 @@ class TestSturm:
             assert abs(float((lo + hi) / 2) - target) < 1e-8, i
 
 
+class TestRootCountEnds:
+    @pytest.mark.parametrize(
+        "coeffs, lo, hi, message",
+        [((-1, 1), 3, 0, "lo=3 is greater than hi=0"),
+         ((-2, 0, 1), 2, -2, "lo=2 is greater than hi=-2"),
+         ((-2, 0, 1), Fraction(1, 3), Fraction(1, 5),
+          "lo=Fraction(1, 3) is greater than hi=Fraction(1, 5)")],
+    )
+    def test_reversed_interval_is_refused(self, coeffs, lo, hi, message):
+        with pytest.raises(ValueError) as info:
+            count_roots_in(IntPolynomial(coeffs), lo, hi)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "lo, hi, message",
+        [(float("nan"), 1, "lo must be finite or None, got nan"),
+         (0, float("nan"), "hi must be finite or None, got nan"),
+         (float("-inf"), 1, "lo must be finite or None, got -inf"),
+         (None, float("inf"), "hi must be finite or None, got inf"),
+         (float("inf"), None, "lo must be finite or None, got inf")],
+    )
+    def test_non_finite_end_is_refused(self, lo, hi, message):
+        with pytest.raises(ValueError) as info:
+            count_roots_in(IntPolynomial((-2, 0, 1)), lo, hi)
+        assert str(info.value) == message
+
+    def test_constant_polynomial_ends_are_checked(self):
+        with pytest.raises(ValueError, match="hi must be finite"):
+            count_roots_in(IntPolynomial((3,)), 0, float("inf"))
+        with pytest.raises(ValueError, match="greater than"):
+            count_roots_in(IntPolynomial((3,)), 1, 0)
+
+    def test_none_and_equal_ends_still_count(self):
+        p = IntPolynomial((-2, 0, 1))
+        assert count_roots_in(p, None, None) == 2
+        assert count_roots_in(p, 1.5, None) == 0
+        assert count_roots_in(p, None, -1.4) == 1
+        assert count_roots_in(p, 1, 1) == 0
+
+
+def _factor_products():
+    """Products of linear (c x - a) and quadratic (c x^2 + b x + a) integer
+    factors with leading coefficients 1-3, each repeated up to twice, and at
+    least one linear factor, so there is a real root.  Non-monic leading
+    coefficients and the larger coefficients of repeated factors make the
+    root bound's denominator Q exceed 1."""
+    lead = st.integers(1, 3)
+    linear = st.tuples(st.integers(-9, 9), lead).map(lambda t: (-t[0], t[1]))
+    quadratic = st.tuples(st.integers(-9, 9), st.integers(-9, 9), lead)
+    factor = st.tuples(st.one_of(linear, quadratic), st.integers(1, 2))
+    return st.tuples(
+        st.tuples(linear, st.integers(1, 2)), st.lists(factor, max_size=2)
+    ).map(lambda t: _product([t[0], *t[1]]))
+
+
+def _product(factors):
+    p = IntPolynomial.one()
+    for coeffs, power in factors:
+        for _ in range(power):
+            p = p * IntPolynomial(coeffs)
+    return p
+
+
+def _sympy_max_root(p):
+    t = sympy.symbols("t")
+    return sympy.real_roots(sympy.Poly(list(reversed(p.coeffs)), t))[-1]
+
+
+WIDTHS = st.one_of(
+    st.sampled_from([Fraction(1, 3), Fraction(7, 10), Fraction(1, 10**6), 1e-8, 0.1]),
+    st.builds(Fraction, st.integers(1, 50), st.sampled_from([1, 3, 7, 9, 21, 99])),
+    st.integers(1, 10**4),  # as wide as (-B, B] or wider: no step at all
+)
+
+
+class TestIntegerBisection:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_factor_products(), WIDTHS)
+    def test_brackets_match_fraction_oracle(self, p, width):
+        bracket = max_root_bracket(p, width)
+        assert bracket == max_root_bracket_by_bisection(p, width), (p, width)
+        lo, hi = bracket
+        assert hi - lo <= width and lo < _sympy_max_root(p) <= hi
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_factor_products(), st.lists(WIDTHS, min_size=1, max_size=5))
+    def test_refining_matches_a_fresh_bisection(self, p, widths):
+        widths = sorted((Fraction(w) for w in widths), reverse=True)
+        bisection = fibpoly_module._MaxRootBisection(p)
+        for width in widths:
+            assert bisection.refine(width) == max_root_bracket(p, width), (p, width)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(_factor_products(), _factor_products())
+    def test_strictly_less_agrees_with_sympy(self, p, q):
+        rp, rq = _sympy_max_root(p), _sympy_max_root(q)
+        if sympy.expand(rp - rq) == 0:
+            with pytest.raises(ValueError, match="equal"):
+                max_root_strictly_less(p, q)
+        else:
+            assert max_root_strictly_less(p, q) == bool(rp < rq), (p, q)
+
+    def test_no_real_root_is_refused(self):
+        for coeffs in [(1, 0, 1), (5,), (2, 2, 3)]:
+            with pytest.raises(ValueError, match="no real root"):
+                max_root_bracket(IntPolynomial(coeffs) * IntPolynomial(coeffs), Fraction(1, 2))
+
+
 class TestMatrixEvaluation:
     def test_eval_at_matrix(self):
         from cellspec.intmat import IntMatrix
