@@ -79,6 +79,13 @@ class CoxeterSystem:
         family, digits = ("I2", t[3:]) if t.startswith("I2_") else (t[:1], t[1:])
         if not digits.isdecimal():
             raise ValueError(f"cannot parse Coxeter type {token!r}")
+        # checked on the digit string, so int() never meets a huge one
+        digits = digits.lstrip("0") or "0"
+        kind, most = ("order", 2000) if family == "I2" else ("rank", 128)
+        if len(digits) > len(str(most)) or int(digits) > most:
+            raise ValueError(
+                f"oversized Coxeter type {token!r}: {kind} at most {most}"
+            )
         n = int(digits)
         if family == "I2":
             return CoxeterSystem.dihedral(n)

@@ -31,25 +31,17 @@ from functools import lru_cache
 
 from .based_algebra import BasedAlgebra, BasedModule
 from .fibpoly import IntPolynomial, eval_at_matrix, fib_f
-from .intmat import IntMatrix, gram, minpoly_symmetric
+from .intmat import IntMatrix, _block_matrix, gram, minpoly_symmetric
 from .staircase import classes_of_type
 
 
 def theta_generator_matrices(b: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """The block matrices of the two generators acting on Z^(rows+cols)."""
     r, c = b.n_rows, b.n_cols
-    top = [
-        tuple(2 * int(i == j) for j in range(r)) + b.rows[i] for i in range(r)
-    ]
-    zero_wide = [(0,) * (r + c) for _ in range(c)]
-    theta_1 = IntMatrix.from_rows(top + zero_wide)
-    bt = b.transpose()
-    bottom = [
-        bt.rows[i] + tuple(2 * int(i == j) for j in range(c)) for i in range(c)
-    ]
-    zero_top = [(0,) * (r + c) for _ in range(r)]
-    theta_2 = IntMatrix.from_rows(zero_top + bottom)
-    return theta_1, theta_2
+    # the first r and the last c rows of [[2I, B], [B^T, 2I]]
+    rows = _block_matrix((r, c), [(1, 2, b.rows)]).rows
+    zero = ((0,) * (r + c),)
+    return IntMatrix(rows[:r] + zero * c), IntMatrix(zero * r + rows[r:])
 
 
 def theta_word_matrix(b: IntMatrix, length: int, first: int) -> IntMatrix:

@@ -15,7 +15,11 @@ assembly_search grows the size vectors of a tree-shaped diagram along its
 edges, giving each slot only the sizes the bond to its parent admits, and
 for each edge builds one block per class modulo permutations of its far slot
 directly from how the atoms split the near slot's rows; it returns the
-candidates up to simultaneous within-slot permutation.  For the
+candidates up to simultaneous within-slot permutation.  Every candidate,
+searched or stored, comes from the one slot-block builder
+intmat._block_matrix (2I on the diagonal slot blocks, one block per edge,
+mirrored); the reference candidates are stored as slot sizes plus one block
+per bond of the path 1 - 2 - ... - n.  For the
 reflection-representation comparison in types H3 and H4, the small matrix over
 Z[phi] is written over the integers (each entry a + b*phi as the 2x2 block of
 multiplication by it), so both sides go through the one integer
@@ -31,48 +35,8 @@ from fractions import Fraction
 from .coxeter import CoxeterSystem
 from .dihedral import annihilation_test
 from .fibpoly import count_roots_in, max_root_bracket
-from .intmat import IntMatrix, charpoly, is_irreducible_nonneg, reachable, slot_ranges
-
-
-# --- reference matrices ----------------------------------------------------------
-
-
-_H3_M = (
-    (2, 0, 1, 0, 0, 0),
-    (0, 2, 1, 1, 0, 0),
-    (1, 1, 2, 0, 1, 0),
-    (0, 1, 0, 2, 0, 1),
-    (0, 0, 1, 0, 2, 0),
-    (0, 0, 0, 1, 0, 2),
-)
-
-_H4_M = (
-    (2, 0, 1, 0, 0, 0, 0, 0),
-    (0, 2, 1, 1, 0, 0, 0, 0),
-    (1, 1, 2, 0, 1, 0, 0, 0),
-    (0, 1, 0, 2, 0, 1, 0, 0),
-    (0, 0, 1, 0, 2, 0, 1, 0),
-    (0, 0, 0, 1, 0, 2, 0, 1),
-    (0, 0, 0, 0, 1, 0, 2, 0),
-    (0, 0, 0, 0, 0, 1, 0, 2),
-)
-
-_F4_M1 = (
-    (2, 0, 1, 0, 0, 0),
-    (0, 2, 0, 1, 0, 0),
-    (1, 0, 2, 0, 1, 0),
-    (0, 1, 0, 2, 1, 0),
-    (0, 0, 1, 1, 2, 1),
-    (0, 0, 0, 0, 1, 2),
-)
-
-_F4_M2 = (
-    (2, 1, 0, 0, 0, 0),
-    (1, 2, 1, 1, 0, 0),
-    (0, 1, 2, 0, 1, 0),
-    (0, 1, 0, 2, 0, 1),
-    (0, 0, 1, 0, 2, 0),
-    (0, 0, 0, 1, 0, 2),
+from .intmat import (
+    IntMatrix, _block_matrix, charpoly, is_irreducible_nonneg, reachable, slot_ranges
 )
 
 
@@ -86,56 +50,47 @@ class AssemblyCandidate:
     matrix: IntMatrix
 
 
+def _path_candidate(name: str, sizes, blocks) -> AssemblyCandidate:
+    """The candidate with the given slot sizes whose k-th block (from 1)
+    joins slots k and k + 1 of the path 1 - 2 - ... - n."""
+    bonds = [(k, k + 1, block) for k, block in enumerate(blocks, 1)]
+    return AssemblyCandidate(name, tuple(sizes), _block_matrix(sizes, bonds))
+
+
 def b_family_matrix(n: int, family: int) -> AssemblyCandidate:
     """The two candidate families in type B_n (n >= 3).
 
-    Family 1 has sizes (2, 1, ..., 1); family 2 has sizes (1, 2, ..., 2).
+    Family 1 has sizes (2, 1, ..., 1), the column [1, 1] on the order-4 bond
+    and 1 on the others; family 2 has sizes (1, 2, ..., 2), the row [1, 1]
+    on the order-4 bond and I on the others.
     """
     if n < 3:
         raise ValueError("rank must be at least 3")
     if family == 1:
-        sizes = (2,) + (1,) * (n - 1)
-        total = n + 1
-        rows = [[0] * total for _ in range(total)]
-        for i in range(total):
-            rows[i][i] = 2
-        rows[0][2] = rows[2][0] = 1
-        rows[1][2] = rows[2][1] = 1
-        for k in range(2, n):
-            rows[k][k + 1] = rows[k + 1][k] = 1
-        return AssemblyCandidate(f"B{n}", sizes, IntMatrix.from_rows(rows))
-    if family == 2:
-        sizes = (1,) + (2,) * (n - 1)
-        total = 2 * n - 1
-        rows = [[0] * total for _ in range(total)]
-        for i in range(total):
-            rows[i][i] = 2
-        rows[0][1] = rows[1][0] = 1
-        rows[0][2] = rows[2][0] = 1
-        for k in range(2, n):
-            for t in range(2):
-                a = 2 * (k - 2) + 1 + t
-                b = 2 * (k - 1) + 1 + t
-                rows[a][b] = rows[b][a] = 1
-        return AssemblyCandidate(f"B{n}", sizes, IntMatrix.from_rows(rows))
-    raise ValueError("family must be 1 or 2")
+        sizes, first, rest = (2,) + (1,) * (n - 1), ((1,), (1,)), ((1,),)
+    elif family == 2:
+        sizes, first, rest = (1,) + (2,) * (n - 1), ((1, 1),), ((1, 0), (0, 1))
+    else:
+        raise ValueError("family must be 1 or 2")
+    return _path_candidate(f"B{n}", sizes, [first] + [rest] * (n - 2))
 
 
 def special_modules(name: str) -> list[AssemblyCandidate]:
     """The reference candidate list for a named system: one candidate for H3
-    and for H4, two for F4, and the two families for B_n."""
+    and for H4, two for F4, and the two families for B_n.  Each is stored as
+    its slot sizes and one block per bond of the path 1 - 2 - ... - n."""
     token = name.strip().upper()
-    if token == "H3":
-        return [AssemblyCandidate("H3", (2, 2, 2), IntMatrix(_H3_M))]
-    if token == "H4":
-        return [AssemblyCandidate("H4", (2, 2, 2, 2), IntMatrix(_H4_M))]
-    if token == "F4":
-        return [
-            AssemblyCandidate("F4", (2, 2, 1, 1), IntMatrix(_F4_M1)),
-            AssemblyCandidate("F4", (1, 1, 2, 2), IntMatrix(_F4_M2)),
-        ]
-    if token.startswith("B") and token[1:].isdigit():
-        n = int(token[1:])
+    one, column, row, eye = ((1,),), ((1,), (1,)), ((1, 1),), ((1, 0), (0, 1))
+    five = ((1, 0), (1, 1))  # the order-5 bond
+    paths = {
+        "H3": [((2, 2, 2), [five, eye])],
+        "H4": [((2, 2, 2, 2), [five, eye, eye])],
+        "F4": [((2, 2, 1, 1), [eye, column, one]), ((1, 1, 2, 2), [one, row, eye])],
+    }
+    if token in paths:
+        return [_path_candidate(token, *path) for path in paths[token]]
+    if token.startswith("B"):
+        n = CoxeterSystem.from_name(token).rank
         return [b_family_matrix(n, 1), b_family_matrix(n, 2)]
     raise ValueError(f"no reference candidates stored for {name!r}")
 
@@ -243,7 +198,7 @@ def assembly_violations(
     slots = slot_ranges(sizes, m.n_rows)
     for i in range(system.rank):
         block = _block(m, slots[i], slots[i])
-        if block != IntMatrix.identity(sizes[i]) + IntMatrix.identity(sizes[i]):
+        if block != _block_matrix((sizes[i],), []):  # 2I
             problems.append(f"diagonal block {i + 1} is not 2I")
     for i in range(system.rank):
         for j in range(i + 1, system.rank):
@@ -412,19 +367,11 @@ def assembly_search(
         # The first edge's two slots carry no earlier constraints, so one
         # representative block covers its whole orbit.
         per_edge[0] = per_edge[0][:1]
-        total = sum(sizes)
-        slots = slot_ranges(sizes, total)
         for combo in itertools.product(*per_edge):
-            rows = [[0] * total for _ in range(total)]
-            for i in range(total):
-                rows[i][i] = 2
-            for (near, far, order), block in zip(oriented, combo):
-                for a, gi in enumerate(slots[near - 1]):
-                    for b, gj in enumerate(slots[far - 1]):
-                        v = block.rows[a][b]
-                        rows[gi][gj] = v
-                        rows[gj][gi] = v
-            m = IntMatrix.from_rows(rows)
+            m = _block_matrix(sizes, [
+                (near, far, block.rows)
+                for (near, far, _), block in zip(oriented, combo)
+            ])
             if not is_irreducible_nonneg(m):
                 continue
             if assembly_violations(system, sizes, m):

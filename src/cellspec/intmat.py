@@ -233,6 +233,27 @@ def slot_ranges(sizes, total: int) -> list[range]:
     return ranges
 
 
+def _block_matrix(sizes, blocks) -> IntMatrix:
+    """The symmetric matrix with 2I on each diagonal slot block of the given
+    sizes and, for each (i, j, block) with slots numbered from 1, the rows of
+    block between slots i and j and its transpose between j and i; every
+    other entry is 0.
+
+    >>> _block_matrix((1, 2), [(1, 2, ((1, 1),))]).rows
+    ((2, 1, 1), (1, 2, 0), (1, 0, 2))
+    """
+    total = sum(sizes)
+    slots = slot_ranges(sizes, total)
+    rows = [[0] * total for _ in range(total)]
+    for i in range(total):
+        rows[i][i] = 2
+    for i, j, block in blocks:
+        for gi, row in zip(slots[i - 1], block):
+            for gj, v in zip(slots[j - 1], row):
+                rows[gi][gj] = rows[gj][gi] = v
+    return IntMatrix.from_rows(rows)
+
+
 def is_irreducible_nonneg(m: IntMatrix) -> bool:
     """Irreducibility of a square non-negative matrix in the Perron-Frobenius
     sense: the directed graph with an edge i -> j whenever m[i][j] > 0 is

@@ -396,6 +396,16 @@ class TestSpecial:
         sizes = [c["sizes"] for c in report["results"]["candidates"]]
         assert sorted(map(tuple, sizes)) == [(1, 2, 2), (2, 1, 1)]
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [("B\u00b2", "cannot parse Coxeter type 'B\u00b2'"),
+         ("B" + "9" * 5000,
+          f"oversized Coxeter type '{'B' + '9' * 5000}': rank at most 128")],
+    )
+    def test_unreadable_b_rank_names_the_input(self, capsys, name, message):
+        code, out, err = run_cli(capsys, "special", "--type", name)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestQuiver:
     def test_path_graph(self, capsys):

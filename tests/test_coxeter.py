@@ -85,6 +85,25 @@ class TestSystems:
             CoxeterSystem.from_name(token)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "token, message",
+        [("A129", "oversized Coxeter type 'A129': rank at most 128"),
+         ("C129", "oversized Coxeter type 'C129': rank at most 128"),
+         ("D" + "9" * 5000,
+          f"oversized Coxeter type '{'D' + '9' * 5000}': rank at most 128"),
+         ("I2_2001", "oversized Coxeter type 'I2_2001': order at most 2000"),
+         ("I2(" + "9" * 5000 + ")",
+          f"oversized Coxeter type '{'I2(' + '9' * 5000 + ')'}': order at most 2000")],
+    )
+    def test_oversized_names(self, token, message):
+        with pytest.raises(ValueError) as info:
+            CoxeterSystem.from_name(token)
+        assert str(info.value) == message
+
+    def test_largest_accepted_names(self):
+        assert CoxeterSystem.from_name("A0128").rank == 128
+        assert CoxeterSystem.from_name("I2_" + "0" * 5000 + "2000").m(1, 2) == 2000
+
 
 class TestReducedWords:
     def test_basic(self):

@@ -51,9 +51,10 @@ class TestReferenceData:
             assert cand.sizes == tuple(sizes)
             assert cand.matrix.to_lists() == rows
 
-    def test_b5_families_are_valid(self):
-        system = CoxeterSystem.from_name("B5")
-        for cand in special_modules("B5"):
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_b_families_are_valid(self, n):
+        system = CoxeterSystem.from_name(f"B{n}")
+        for cand in special_modules(f"B{n}"):
             assert assembly_violations(system, cand.sizes, cand.matrix) == []
 
     def test_reflection_sign_matrices(self):
