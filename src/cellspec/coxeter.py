@@ -93,7 +93,9 @@ class CoxeterSystem:
         least = {"A": 1, "B": 2, "D": 4}
         if family in least:
             if n < least[family]:
-                raise ValueError(f"rank must be at least {least[family]}")
+                raise ValueError(
+                    f"Coxeter type {token!r}: rank must be at least {least[family]}"
+                )
         elif f"{family}{n}" not in ("E6", "E7", "E8", "F4", "H3", "H4"):
             raise ValueError(f"unsupported Coxeter type {token!r}")
         edges = {(i, i + 1): 3 for i in range(1, n)}

@@ -65,7 +65,7 @@ def b_family_matrix(n: int, family: int) -> AssemblyCandidate:
     on the order-4 bond and I on the others.
     """
     if n < 3:
-        raise ValueError("rank must be at least 3")
+        raise ValueError(f"candidate families of type 'B{n}': rank must be at least 3")
     if family == 1:
         sizes, first, rest = (2,) + (1,) * (n - 1), ((1,), (1,)), ((1,),)
     elif family == 2:

@@ -6,7 +6,8 @@ minimal polynomials of symmetric matrices come from the squarefree part of the
 characteristic polynomial, and root location in intervals is delegated to the
 Sturm machinery in fibpoly.  Products run over the nonzero entries of the
 left factor.  The Perron-Frobenius helper is exact too: it returns floats,
-each the double nearest to an exact algebraic value.
+each the double nearest to an exact algebraic value, with the eigenvector
+enclosed by one centred bound on the matrix shifted to the bracket centre.
 """
 
 from __future__ import annotations
@@ -303,12 +304,15 @@ def pf_vector(m: IntMatrix) -> tuple[float, tuple[float, ...]]:
     eigenvalue and the positive eigenvector with max entry 1, each value
     the double nearest to the exact one.
 
-    The eigenvalue lam, a simple root of charpoly(m), is bracketed by Sturm
-    bisection.  The first column of adj(xI - M), positive at lam, is
-    sum_k u_k x^(n-1-k) with u_0 = e_0, u_k = M u_(k-1) + c_k e_0 and c_k
-    the x^(n-k) coefficient of charpoly(m).  Its entries are enclosed by
-    interval Horner evaluation on the bracket, which is narrowed until
-    every value has one nearest double.
+    The eigenvalue lam, a simple root of p = charpoly(m), is bracketed by
+    Sturm bisection until the bracket, (c - r, c + r] / d in ints, has one
+    nearest double.  On the shifted matrix S = dM - cI, d lam - c lies in
+    (-r, r].  The first column of adj(tI - S), a positive multiple of the
+    eigenvector there, is sum_k u_k t^(n-1-k) with u_0 = e_0,
+    u_k = S u_(k-1) + s_k e_0 and s_k the t^(n-k) coefficient of
+    det(tI - S) = d^n p((t + c) / d).  So entry i lies in
+    u_(n-1)[i] +- sum_(k<n-1) |u_k[i]| r^(n-1-k), and the bracket is
+    narrowed until every ratio of these enclosures has one nearest double.
 
     >>> lam, vec = pf_vector(IntMatrix.from_rows([[0, 1, 0], [1, 0, 1], [0, 1, 0]]))
     >>> round(lam, 10), [round(x, 10) for x in vec]
@@ -318,37 +322,28 @@ def pf_vector(m: IntMatrix) -> tuple[float, tuple[float, ...]]:
         raise ValueError("matrix is not irreducible")
     n = m.n_rows
     p = charpoly(m)
-    u = (1,) + (0,) * (n - 1)
-    column = [u]
-    for k in range(1, n):
-        u = [sum(a * b for a, b in zip(row, u)) for row in m.rows]
-        u[0] += p.coeffs[n - k]
-        column.append(u)
-    entries = list(zip(*column))  # entry i: its coefficients, top degree first
+    nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in m.rows]
     bisection = _MaxRootBisection(p)
     width = Fraction(1)
     while True:
         a, b = bisection.refine(width)
         width /= 2 ** 16
-        lows, highs = zip(*(_horner_enclosure(coeffs, a, b) for coeffs in entries))
-        if float(a) == float(b) and min(lows) > 0:
+        if float(a) != float(b):
+            continue
+        # lam in (c - r, c + r] / d, so S = dM - cI has d lam - c in (-r, r]
+        c, r, d = bisection.a + bisection.b, bisection.b - bisection.a, 2 * bisection.q
+        shifted = [1]  # det(tI - S) = d^n p((t + c) / d), top degree first
+        for k in range(1, n + 1):
+            shifted = [x + c * y for x, y in zip(shifted + [0], [0] + shifted)]
+            shifted[-1] += p.coeffs[n - k] * d ** k
+        u, err = [1] + [0] * (n - 1), [0] * n
+        for k in range(1, n):
+            err = [(e + abs(x)) * r for e, x in zip(err, u)]
+            u = [d * sum(x * u[j] for j, x in row) - c * u_i
+                 for row, u_i in zip(nonzeros, u)]
+            u[0] += shifted[k]
+        lows, highs = [x - e for x, e in zip(u, err)], [x + e for x, e in zip(u, err)]
+        if min(lows) > 0:
             vec = tuple(low / max(highs) for low in lows)  # ratios from below
             if vec == tuple(high / max(lows) for high in highs):  # and from above
                 return float(b), vec
-
-
-def _horner_enclosure(coeffs, a: Fraction, b: Fraction) -> tuple[int, int]:
-    """Integers lo <= hi with q^d f(x) in [lo, hi] for all x in [a, b], f of
-    degree d with the given coefficients, top degree first, and
-    q = a.denominator * b.denominator: the homogeneous Horner sum of
-    _sign_at, with x q running over the interval [a q, b q]."""
-    q = a.denominator * b.denominator
-    ends = (a.numerator * b.denominator, b.numerator * a.denominator)
-    lo = hi = coeffs[0]
-    q_power = 1
-    for c in coeffs[1:]:
-        q_power *= q
-        products = [lo * x for x in ends] + [hi * x for x in ends]
-        lo = min(products) + c * q_power
-        hi = max(products) + c * q_power
-    return lo, hi

@@ -65,6 +65,12 @@ class TestCells:
         code, out, err = run_cli(capsys, "cells", name)
         assert (code, out, err) == (1, "", f"error: cannot parse Coxeter type '{name}'\n")
 
+    def test_too_small_rank_names_the_input(self, capsys):
+        code, out, err = run_cli(capsys, "cells", "A0")
+        assert (code, out, err) == (
+            1, "", "error: Coxeter type 'A0': rank must be at least 1\n"
+        )
+
     @pytest.mark.parametrize("name, size", [("E6", 36), ("E7", 49), ("E8", 64)])
     def test_exceptional_types(self, capsys, name, size):
         assert run_json(capsys, "cells", name)["results"]["size"] == size
@@ -403,6 +409,16 @@ class TestSpecial:
           f"oversized Coxeter type '{'B' + '9' * 5000}': rank at most 128")],
     )
     def test_unreadable_b_rank_names_the_input(self, capsys, name, message):
+        code, out, err = run_cli(capsys, "special", "--type", name)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("B1", "Coxeter type 'B1': rank must be at least 2"),
+         ("B2", "candidate families of type 'B2': rank must be at least 3")],
+    )
+    def test_too_small_b_rank_names_the_input(self, capsys, name, message):
         code, out, err = run_cli(capsys, "special", "--type", name)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 

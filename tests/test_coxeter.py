@@ -66,9 +66,9 @@ class TestSystems:
     @pytest.mark.parametrize(
         "token, message",
         [("", "cannot parse Coxeter type ''"),
-         ("A0", "rank must be at least 1"),
-         ("C1", "rank must be at least 2"),
-         ("D3", "rank must be at least 4"),
+         ("A0", "Coxeter type 'A0': rank must be at least 1"),
+         ("C1", "Coxeter type 'C1': rank must be at least 2"),
+         ("D3", "Coxeter type 'D3': rank must be at least 4"),
          ("E5", "unsupported Coxeter type 'E5'"),
          ("E9", "unsupported Coxeter type 'E9'"),
          ("F5", "unsupported Coxeter type 'F5'"),

@@ -1,4 +1,6 @@
 import doctest
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -9,7 +11,8 @@ import pytest
 
 import cellspec.intmat as intmat_module
 from cellspec.fibpoly import IntPolynomial
-from cellspec.higher_rank import special_modules
+from cellspec.dihedral import DihedralRep, based_module_of, enumerate_B
+from cellspec.higher_rank import b_family_matrix, special_modules
 from cellspec.intmat import (
     IntMatrix,
     charpoly,
@@ -17,6 +20,7 @@ from cellspec.intmat import (
     is_irreducible_nonneg,
     minpoly_symmetric,
     pf_vector,
+    reachable,
     spectrum_in_range,
 )
 from oracles import charpoly_by_permutation_expansion
@@ -206,3 +210,55 @@ class TestPerronFrobenius:
         assert round(golden, 10) == 0.6180339887
         assert golden in vec
         assert 0.6180339887 in [round(x, 10) for x in vec]
+
+    @pytest.mark.parametrize("n", [3, 8, 24])
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_b_families_against_closed_form(self, n, family):
+        # both families have top eigenvalue 2 + 2cos(pi/2n); family 2 is 2I
+        # plus the path A_(2n-1), whose vector is sin(k pi/2n), k = 1..2n-1
+        m = b_family_matrix(n, family).matrix
+        lam, vec = pf_vector(m)
+        with mpmath.workdps(60):
+            assert lam == float(2 + 2 * mpmath.cos(mpmath.pi / (2 * n)))
+            path = [k * mpmath.pi / (2 * n) for k in range(1, 2 * n)]
+            along_path = [float(mpmath.sin(x)) for x in path]
+        if family == 2:
+            neighbours = [
+                [j for j, x in enumerate(row) if x and j != i]
+                for i, row in enumerate(m.rows)
+            ]
+            end = min(i for i, ws in enumerate(neighbours) if len(ws) == 1)
+            order = reachable(neighbours, end)  # a path: BFS walks it in order
+            assert len(order) == 2 * n - 1
+            assert [vec[i] for i in order] == along_path
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [([[5]], lambda: (5, [1])),
+         ([[0, 1], [1, 0]], lambda: (1, [1, 1])),  # period 2
+         ([[0, 2], [1, 0]], lambda: (mpmath.sqrt(2), [1, 1 / mpmath.sqrt(2)]))],
+        ids=["1x1", "period-2", "non-symmetric"],
+    )
+    def test_edge_cases(self, rows, expected):
+        with mpmath.workdps(60):
+            lam, vec = expected()
+            assert pf_vector(IntMatrix.from_rows(rows)) == (
+                float(lam), tuple(float(x) for x in vec)
+            )
+
+    def test_corpus_digest(self):
+        # the dihedral module actions of levels 3..30, the stored H3, H4, F4
+        # and B5 candidates and both B3..B12 families; recorded with the
+        # interval Horner enclosure that the centred one replaced
+        matrices = [
+            based_module_of(DihedralRep(n, cand.matrix)).total_action()
+            for n in range(3, 31)
+            for cand in enumerate_B(n)
+        ]
+        for name in ("H3", "H4", "F4", "B5"):
+            matrices += [c.matrix for c in special_modules(name)]
+        matrices += [b_family_matrix(n, f).matrix for n in range(3, 13) for f in (1, 2)]
+        assert len(matrices) == 100
+        data = [[lam, list(vec)] for lam, vec in map(pf_vector, matrices)]
+        text = json.dumps(data, separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "a693ec791be1a370"
