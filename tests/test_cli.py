@@ -412,7 +412,6 @@ class TestSpecial:
         code, out, err = run_cli(capsys, "special", "--type", name)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
-
     @pytest.mark.parametrize(
         "name, message",
         [("B1", "Coxeter type 'B1': rank must be at least 2"),

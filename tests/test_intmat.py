@@ -220,8 +220,8 @@ class TestPerronFrobenius:
         lam, vec = pf_vector(m)
         with mpmath.workdps(60):
             assert lam == float(2 + 2 * mpmath.cos(mpmath.pi / (2 * n)))
-            path = [k * mpmath.pi / (2 * n) for k in range(1, 2 * n)]
-            along_path = [float(mpmath.sin(x)) for x in path]
+            angles = [k * mpmath.pi / (2 * n) for k in range(1, 2 * n)]
+            along_path = [float(mpmath.sin(x)) for x in angles]
         if family == 2:
             neighbours = [
                 [j for j, x in enumerate(row) if x and j != i]
