@@ -16,9 +16,9 @@ two-sided cell that does not act by zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._value import Value
 from .intmat import IntMatrix, _int_rows, is_irreducible_nonneg, reachable
 
 Gamma = tuple[tuple[tuple[int, ...], ...], ...]
@@ -55,8 +55,7 @@ def _check_law(algebra: "BasedAlgebra", acts, what: str) -> None:
         raise ValueError(f"{what} fails at ({algebra.labels[i]}, {algebra.labels[j]})")
 
 
-@dataclass(frozen=True)
-class BasedAlgebra:
+class BasedAlgebra(Value):
     """A finite-dimensional algebra with a fixed basis, multiplication tensor
     gamma[i][j][k] (coefficient of basis k in the product of i and j), and an
     identity basis element."""
@@ -212,8 +211,7 @@ class BasedAlgebra:
         return CellPartition(side, tuple(cells), tuple(assigned), leq)
 
 
-@dataclass(frozen=True)
-class CellPartition:
+class CellPartition(Value):
     """Cells on one side, with the reachability order between them.
     leq[a][b] means cell a is below or equal to cell b."""
 
@@ -235,8 +233,7 @@ class CellPartition:
         )
 
 
-@dataclass(frozen=True)
-class BasedModule:
+class BasedModule(Value):
     """Non-negative integer matrices representing a based algebra."""
 
     algebra: BasedAlgebra

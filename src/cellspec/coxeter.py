@@ -16,13 +16,12 @@ intersections into boxes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from ._value import Value
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class CoxeterSystem:
+class CoxeterSystem(Value):
     """A finite-rank Coxeter system given by its symmetric Coxeter matrix.
 
     Generators are numbered 1..rank.  coxeter_matrix[i][j] (0-based storage)
@@ -58,10 +57,8 @@ class CoxeterSystem:
 
     @staticmethod
     def dihedral(m: int) -> "CoxeterSystem":
-        """Rank 2 with m(1,2) = m."""
-        if m < 3:
-            raise ValueError("dihedral order must be at least 3")
-        return CoxeterSystem._from_edges(f"I2_{m}", 2, {(1, 2): m})
+        """Rank 2 with m(1,2) = m, refused as from_name refuses I2_m."""
+        return CoxeterSystem.from_name(f"I2_{m}")
 
     @staticmethod
     def from_name(token: str) -> "CoxeterSystem":
@@ -87,17 +84,17 @@ class CoxeterSystem:
                 f"oversized Coxeter type {token!r}: {kind} at most {most}"
             )
         n = int(digits)
-        if family == "I2":
-            return CoxeterSystem.dihedral(n)
         family = "B" if family == "C" else family
-        least = {"A": 1, "B": 2, "D": 4}
+        least = {"A": 1, "B": 2, "D": 4, "I2": 3}
         if family in least:
             if n < least[family]:
                 raise ValueError(
-                    f"Coxeter type {token!r}: rank must be at least {least[family]}"
+                    f"Coxeter type {token!r}: {kind} must be at least {least[family]}"
                 )
         elif f"{family}{n}" not in ("E6", "E7", "E8", "F4", "H3", "H4"):
             raise ValueError(f"unsupported Coxeter type {token!r}")
+        if family == "I2":
+            return CoxeterSystem._from_edges(f"I2_{n}", 2, {(1, 2): n})
         edges = {(i, i + 1): 3 for i in range(1, n)}
         if family == "B":
             edges[(1, 2)] = 4
@@ -240,8 +237,7 @@ def enumerate_J(system: CoxeterSystem, max_length: int | None = None) -> list[Wo
     return out
 
 
-@dataclass(frozen=True)
-class CellTable:
+class CellTable(Value):
     """J organized into right cells (rows, by first letter) and left cells
     (columns, by last letter).  boxes[i][j] lists the words with first letter
     i+1 and last letter j+1, sorted by (length, word)."""

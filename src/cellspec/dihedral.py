@@ -26,9 +26,9 @@ candidates at levels 12, 18 and 30 whose origin is left hypothetical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._value import Value
 from .based_algebra import BasedAlgebra, BasedModule
 from .fibpoly import IntPolynomial, eval_at_matrix, fib_f
 from .intmat import IntMatrix, _block_matrix, gram, minpoly_symmetric
@@ -121,8 +121,7 @@ def _level_of_minpolys(p: IntPolynomial, q: IntPolynomial, bound: int = 120) -> 
     )
 
 
-@dataclass(frozen=True)
-class DihedralRep:
+class DihedralRep(Value):
     """A matrix presenting the level-n quotient; validated on construction."""
 
     n: int
@@ -146,8 +145,7 @@ class DihedralRep:
 # --- the candidate families -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DihedralCandidate:
+class DihedralCandidate(Value):
     """One entry of the level-n candidate list."""
 
     matrix: IntMatrix

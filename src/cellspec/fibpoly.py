@@ -29,8 +29,10 @@ import math
 from fractions import Fraction
 from math import gcd as _int_gcd
 
+from ._value import Value
 
-class IntPolynomial:
+
+class IntPolynomial(Value):
     """A polynomial with integer coefficients, stored densely ascending.
 
     >>> p = IntPolynomial([1, -3, 1])   # 1 - 3x + x^2
@@ -42,7 +44,7 @@ class IntPolynomial:
     Fraction(-1, 4)
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs",)  # Value only refuses assignment and deletion
 
     def __init__(self, coeffs=()):
         cs = list(coeffs)
@@ -56,9 +58,6 @@ class IntPolynomial:
                 cs = list(map(int, cs))
                 break
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntPolynomial is immutable")
 
     @classmethod
     def zero(cls) -> "IntPolynomial":

@@ -29,9 +29,9 @@ characteristic polynomial and the one Sturm root locator.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .coxeter import CoxeterSystem
 from .dihedral import annihilation_test
 from .fibpoly import count_roots_in, max_root_bracket
@@ -40,8 +40,7 @@ from .intmat import (
 )
 
 
-@dataclass(frozen=True)
-class AssemblyCandidate:
+class AssemblyCandidate(Value):
     """A candidate for a higher-rank system: slot sizes and the symmetric
     matrix, taken up to simultaneous within-slot permutations."""
 
@@ -119,8 +118,7 @@ def reflection_sign_matrix(name: str) -> IntMatrix:
     return IntMatrix(tuple(rows))
 
 
-@dataclass(frozen=True)
-class SharedEigenvalue:
+class SharedEigenvalue(Value):
     name: str
     value: float
     from_module: float

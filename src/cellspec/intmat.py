@@ -12,10 +12,10 @@ enclosed by one centred bound on the matrix shifted to the bracket centre.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
+from ._value import Value
 from .fibpoly import (
     IntPolynomial, _MaxRootBisection, _sign_at, count_roots_in, squarefree_part
 )
@@ -38,8 +38,7 @@ def _int_rows(rows) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(map(_int_entry, row)) for row in data)
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Value):
     """An immutable matrix of Python ints, stored as a tuple of row tuples.
 
     >>> m = IntMatrix.from_rows([[1, 2], [3, 4]])
@@ -49,7 +48,19 @@ class IntMatrix:
     ((1, 3), (2, 4))
     """
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)  # hot: Value only refuses assignment and deletion
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        return self.rows == other.rows if type(other) is IntMatrix else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))  # the tuple of fields, as for every Value
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(rows={self.rows!r})"
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -105,14 +116,7 @@ class IntMatrix:
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        return IntMatrix(
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        return self + -1 * other
 
     def __rmul__(self, scalar: int) -> "IntMatrix":
         if not isinstance(scalar, int):

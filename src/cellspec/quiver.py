@@ -17,8 +17,7 @@ on any other graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import Value
 from .intmat import IntMatrix, reachable
 
 
@@ -26,8 +25,7 @@ class NotSimplyLacedDynkinError(ValueError):
     """The graph is not one of A_n, D_n, E6, E7, E8."""
 
 
-@dataclass(frozen=True)
-class ZigzagAlgebra:
+class ZigzagAlgebra(Value):
     """The zigzag algebra of a simple connected graph, stored by its
     adjacency structure (1-based vertex names)."""
 

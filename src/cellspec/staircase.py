@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
 
+from ._value import Value
 from .intmat import IntMatrix, gram, reachable, spectrum_in_range
 from .quiver import NotSimplyLacedDynkinError, dynkin_type_of_graph
 
@@ -118,8 +118,7 @@ def exceptional(k: int) -> IntMatrix:
     return IntMatrix(_EXCEPTIONAL[k])
 
 
-@dataclass(frozen=True)
-class MatrixClass:
+class MatrixClass(Value):
     """One equivalence class from the classification, with a reference
     representative.  kind is "staircase", "extended_staircase" or
     "exceptional"; variant is the exceptional index when applicable;

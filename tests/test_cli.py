@@ -71,6 +71,13 @@ class TestCells:
             1, "", "error: Coxeter type 'A0': rank must be at least 1\n"
         )
 
+    @pytest.mark.parametrize("name", ["I2_2", "I2(1)", "i2_0"])
+    def test_too_small_dihedral_order_names_the_input(self, capsys, name):
+        code, out, err = run_cli(capsys, "cells", name)
+        assert (code, out, err) == (
+            1, "", f"error: Coxeter type '{name}': order must be at least 3\n"
+        )
+
     @pytest.mark.parametrize("name, size", [("E6", 36), ("E7", 49), ("E8", 64)])
     def test_exceptional_types(self, capsys, name, size):
         assert run_json(capsys, "cells", name)["results"]["size"] == size
