@@ -74,7 +74,8 @@ class TestSystems:
          ("F5", "unsupported Coxeter type 'F5'"),
          ("H5", "unsupported Coxeter type 'H5'"),
          ("G3", "unsupported Coxeter type 'G3'"),
-         ("I2_2", "Coxeter type 'I2_2': order must be at least 3"),
+         pytest.param("I2_2", "Coxeter type 'I2_2': order must be at least 3",
+                      id="I2_2-dihedral order must be at least 3"),
          ("I2(1)", "Coxeter type 'I2(1)': order must be at least 3"),
          ("I2_x", "cannot parse Coxeter type 'I2_x'"),
          ("I2(x)", "cannot parse Coxeter type 'I2(x)'"),
