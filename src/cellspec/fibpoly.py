@@ -501,18 +501,21 @@ def root_bound(p: IntPolynomial) -> Fraction:
 
 
 class _MaxRootBisection:
-    """Bisection of (-B, B], B = root_bound(p), towards the largest real root
-    of p, in ints: the bracket is (a/q, b/q], and a step doubles a, b and q
-    and takes a + b as the midpoint.  The Cauchy bound is strict, so every
-    root lies in (-B, B), and the chain's variation count changes only at
-    roots of chain[0]: the counts at -B and B are those at -inf and +inf,
-    which differ iff p has a real root.  The bracket holds the largest root,
-    so the count at b stays that at +inf and each step evaluates the chain at
-    the midpoint only.  Once (a, b] holds no other root, the squarefree part
+    """Bisection of (-N/D, N/D], N/D = root_bound(p), towards the largest real
+    root of p, in ints.  At depth t the bracket (a/q, b/q] is the cell
+    q = D 2^t, a = 2N j - N 2^t, b = a + 2N of a dyadic grid that holds the
+    largest root; a step doubles a, b and q and takes a + b as the midpoint.
+    The cells nest, so a width wider than the deepest bracket's (depth T)
+    gets the enclosing cell j_t = j_T >> (T - t) with no evaluation, and a
+    smaller one continues from the current bracket.  The Cauchy bound is
+    strict and the chain's variation count changes only at roots of chain[0],
+    so the counts at -B and B are those at -inf and +inf, which differ iff p
+    has a real root, and the count at b stays that at +inf: a step evaluates
+    the chain at the midpoint only, and not at all at or above 2^e, for the
+    least e >= 0 with |c_d| 2^(ed) > sum_(k<d) |c_k| 2^(ek), as every root
+    lies below 2^e.  Once (a, b] holds no other root, the squarefree part
     chain[0] (positive leading coefficient) is negative on (a, root) and
-    positive above, so its sign at the midpoint alone decides the step.
-    Refining to a smaller width continues from the current bracket, which
-    takes the same midpoints as starting again from the root bound."""
+    positive above, so its sign at the midpoint alone decides the step."""
 
     def __init__(self, p: IntPolynomial):
         self.chain = sturm_chain(p)
@@ -520,13 +523,28 @@ class _MaxRootBisection:
         if self.v_a == self.v_b:
             raise ValueError("polynomial has no real root")
         bound = root_bound(p)
-        self.a, self.b, self.q = -bound.numerator, bound.numerator, bound.denominator
+        self.n, self.d, self.depth = bound.numerator, bound.denominator, 0
+        self.a, self.b, self.q = -self.n, self.n, self.d
+        *lower, top = map(abs, p.coeffs)
+        self.e = 0
+        while top << self.e * len(lower) <= sum(c << self.e * k for k, c in enumerate(lower)):
+            self.e += 1
 
     def refine(self, width: Fraction) -> tuple[Fraction, Fraction]:
+        n, d, deepest = self.n, self.d, self.depth
+        span, unit = 2 * n * width.denominator, width.numerator * d
+        depth = max(0, span.bit_length() - unit.bit_length())
+        depth += span > unit << depth  # the least depth whose cells fit width
+        if depth < deepest:
+            j = (self.a + (n << deepest)) // (2 * n) >> (deepest - depth)
+            a, q = 2 * n * j - (n << depth), d << depth
+            return Fraction(a, q), Fraction(a + 2 * n, q)
         chain, a, b, q, v_a, v_b = self.chain, self.a, self.b, self.q, self.v_a, self.v_b
-        while (b - a) * width.denominator > width.numerator * q:
+        for _ in range(depth - deepest):
             mid, a, b, q = a + b, 2 * a, 2 * b, 2 * q
-            if v_a == v_b + 1:  # (a, b] holds no other root
+            if mid >= q << self.e:  # every root lies below 2^e
+                v_mid = v_b
+            elif v_a == v_b + 1:  # (a, b] holds no other root
                 v_mid = v_a if _sign_at(chain[0], mid, q) < 0 else v_b
             else:
                 v_mid = _variations_at(chain, mid, q)
@@ -534,21 +552,28 @@ class _MaxRootBisection:
                 a, v_a = mid, v_mid
             else:
                 b = mid
-        self.a, self.b, self.q, self.v_a = a, b, q, v_a
+        self.a, self.b, self.q, self.v_a, self.depth = a, b, q, v_a, depth
         return Fraction(a, q), Fraction(b, q)
+
+
+@functools.lru_cache(maxsize=_STURM_CACHE_SIZE)
+def _bisection(coeffs: tuple[int, ...]) -> _MaxRootBisection:
+    return _MaxRootBisection(IntPolynomial(coeffs))
 
 
 def max_root_bracket(p: IntPolynomial, width: Fraction) -> tuple[Fraction, Fraction]:
     """An interval (a, b] of length <= width containing exactly the largest
     real root of p.  Requires p to have at least one real root and width to
-    be a positive finite number.
+    be a positive finite number.  Each polynomial's bisection is kept at its
+    deepest bracket in a bounded cache keyed by coefficients, so a repeated
+    or wider width costs no evaluation.
 
     >>> max_root_bracket(IntPolynomial([-2, 0, 1]), Fraction(1, 8))
     (Fraction(45, 32), Fraction(3, 2))
     """
     if not 0 < width < math.inf:
         raise ValueError(f"width must be positive and finite, got {width!r}")
-    return _MaxRootBisection(p).refine(Fraction(width))
+    return _bisection(p.coeffs).refine(Fraction(width))
 
 
 def max_root_strictly_less(p: IntPolynomial, q: IntPolynomial) -> bool:
@@ -558,8 +583,7 @@ def max_root_strictly_less(p: IntPolynomial, q: IntPolynomial) -> bool:
     width at a time, until the brackets separate.  Raises if the brackets
     cannot be separated (which would mean the maximal roots coincide).
     """
-    p_bisection = _MaxRootBisection(p)
-    q_bisection = _MaxRootBisection(q)
+    p_bisection, q_bisection = _bisection(p.coeffs), _bisection(q.coeffs)
     width = Fraction(1)
     for _ in range(220):
         ap, bp = p_bisection.refine(width)

@@ -201,7 +201,8 @@ def canonical_form(m: IntMatrix) -> IntMatrix:
     permutations.
 
     For a fixed column arrangement the best row arrangement sorts the rows,
-    so only column arrangements are enumerated.
+    and for a fixed row arrangement the best column arrangement sorts the
+    columns, so only the arrangements of the shorter side are enumerated.
 
     >>> canonical_form(IntMatrix.from_rows([[0, 1], [1, 1]])).rows
     ((0, 1), (1, 1))
@@ -213,6 +214,9 @@ def canonical_form(m: IntMatrix) -> IntMatrix:
     arrangements = (
         tuple(sorted(tuple(row[j] for j in order) for row in m.rows))
         for order in itertools.permutations(range(m.n_cols))
+    ) if m.n_rows >= m.n_cols else (
+        tuple(zip(*sorted(zip(*(m.rows[i] for i in order)))))
+        for order in itertools.permutations(range(m.n_rows))
     )
     return IntMatrix(min(arrangements))
 

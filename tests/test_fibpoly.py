@@ -1,4 +1,5 @@
 import doctest
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,6 +26,8 @@ from cellspec.fibpoly import (
     squarefree_part,
     sturm_chain,
 )
+from cellspec.higher_rank import b_family_matrix
+from cellspec.intmat import charpoly
 from frozen import F_TABLE, FBAR_TABLE
 from oracles import max_root_bracket_by_bisection, totient
 
@@ -411,6 +414,94 @@ class TestIntegerBisection:
         for coeffs in [(1, 0, 1), (5,), (2, 2, 3)]:
             with pytest.raises(ValueError, match="no real root"):
                 max_root_bracket(IntPolynomial(coeffs) * IntPolynomial(coeffs), Fraction(1, 2))
+
+
+# deep and shallow widths, so that a query can be answered by the enclosing
+# cell of a deeper bracket reached by an earlier one
+QUERY_WIDTHS = st.one_of(WIDTHS, st.integers(0, 14).map(lambda k: Fraction(1, 10**k)))
+
+
+def _recording(monkeypatch, name, points):
+    """Replace fibpoly.<name>, an evaluation at n/q, by one that records n/q."""
+    original = getattr(fibpoly_module, name)
+
+    def record(member, n, q):
+        points.append(Fraction(n, q))
+        return original(member, n, q)
+
+    monkeypatch.setattr(fibpoly_module, name, record)
+
+
+def _b16_charpoly(family):
+    return charpoly(b_family_matrix(16, family).matrix)
+
+
+class TestBisectionMemo:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        st.lists(st.one_of(_factor_products(), st.integers(3, 40).map(fib_irreducible_factor)),
+                 min_size=1, max_size=3),
+        st.lists(st.tuples(st.booleans(), st.integers(0, 2), st.integers(0, 2), QUERY_WIDTHS),
+                 min_size=1, max_size=12),
+    )
+    def test_answers_do_not_depend_on_query_order(self, pool, queries):
+        fibpoly_module._bisection.cache_clear()
+        for is_bracket, i, j, width in queries:
+            p, q = pool[i % len(pool)], pool[j % len(pool)]
+            if is_bracket:
+                expected = max_root_bracket_by_bisection(p, width)
+                assert max_root_bracket(p, width) == expected, (p, width)
+                continue
+            rp, rq = _sympy_max_root(p), _sympy_max_root(q)
+            if sympy.expand(rp - rq) == 0:
+                with pytest.raises(ValueError, match="equal"):
+                    max_root_strictly_less(p, q)
+            else:
+                assert max_root_strictly_less(p, q) == bool(rp < rq), (p, q)
+
+    def test_a_repeated_or_wider_width_makes_no_evaluation(self, monkeypatch):
+        p = fib_irreducible_factor(37)
+        fibpoly_module._bisection.cache_clear()
+        points = []
+        _recording(monkeypatch, "_sign_at", points)
+        max_root_bracket(p, Fraction(1, 10**12))
+        assert points
+        for width in (Fraction(1, 10**12), Fraction(1, 10**6), Fraction(1, 2)):
+            points.clear()
+            bracket = max_root_bracket(p, width)
+            assert not points, width
+            assert bracket == max_root_bracket_by_bisection(p, width), width
+
+    def test_a_refusal_is_not_cached(self):
+        size = fibpoly_module._bisection.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(ValueError, match="no real root"):
+                max_root_bracket(IntPolynomial((1, 0, 1)), Fraction(1, 2))
+        assert fibpoly_module._bisection.cache_info().currsize == size
+
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_loose_root_bounds_give_the_oracle_brackets(self, family):
+        p = _b16_charpoly(family)
+        assert root_bound(p) > 2**21
+        for width in (Fraction(1, 10**6), Fraction(1, 10**12)):
+            expected = max_root_bracket_by_bisection(p, width)
+            assert fibpoly_module._MaxRootBisection(p).refine(width) == expected, width
+            assert max_root_bracket(p, width) == expected, width
+
+    @pytest.mark.parametrize("family", [1, 2])
+    def test_no_chain_is_evaluated_above_the_power_of_two_bound(self, family, monkeypatch):
+        p = _b16_charpoly(family)
+        *lower, top = map(abs, p.coeffs)
+        e = next(e for e in itertools.count() if top * 2 ** (e * len(lower))
+                 > sum(c * 2 ** (e * k) for k, c in enumerate(lower)))
+        assert 2**e * 1000 < root_bound(p)  # so the bound saves steps
+        points = []
+        _recording(monkeypatch, "_variations_at", points)
+        _recording(monkeypatch, "_sign_at", points)
+        bisection = fibpoly_module._MaxRootBisection(p)
+        assert bisection.refine(Fraction(1, 10**12)) == max_root_bracket_by_bisection(
+            p, Fraction(1, 10**12))
+        assert points and max(points) < 2**e
 
 
 class TestMatrixEvaluation:

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellspec.staircase as staircase_module
 from cellspec.intmat import IntMatrix, gram
@@ -21,7 +23,7 @@ from cellspec.staircase import (
     make_staircase,
 )
 from frozen import X_MATRICES
-from oracles import equivalent_by_all_permutations
+from oracles import _canonical_rows, equivalent_by_all_permutations
 
 
 def test_doctests():
@@ -86,6 +88,24 @@ class TestCanonicalForm:
             a = random_binary_matrix(rng)
             c = canonical_form(a)
             assert canonical_form(c) == c
+
+    def test_every_binary_matrix_up_to_3x4_matches_the_oracle(self):
+        for r, c in itertools.product(range(1, 4), range(1, 5)):
+            for entries in itertools.product((0, 1), repeat=r * c):
+                rows = tuple(entries[i * c:(i + 1) * c] for i in range(r))
+                assert canonical_form(IntMatrix(rows)).rows == _canonical_rows(rows), rows
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 5).flatmap(lambda r: st.integers(1, 6).flatmap(
+        lambda c: st.lists(st.tuples(*[st.integers(0, 2)] * c), min_size=r, max_size=r))))
+    def test_matrices_up_to_5x6_match_the_oracle(self, rows):
+        rows = tuple(rows)
+        assert canonical_form(IntMatrix(rows)).rows == _canonical_rows(rows), rows
+
+    @pytest.mark.parametrize("n_rows", [1, 11])
+    def test_more_than_10_columns_is_refused(self, n_rows):
+        with pytest.raises(ValueError, match="more than 10 columns"):
+            canonical_form(IntMatrix(((1,) * 11,) * n_rows))
 
 
 class TestClassification:
