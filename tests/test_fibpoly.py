@@ -498,9 +498,7 @@ class TestBisectionMemo:
         points = []
         _recording(monkeypatch, "_variations_at", points)
         _recording(monkeypatch, "_sign_at", points)
-        bisection = fibpoly_module._MaxRootBisection(p)
-        assert bisection.refine(Fraction(1, 10**12)) == max_root_bracket_by_bisection(
-            p, Fraction(1, 10**12))
+        fibpoly_module._MaxRootBisection(p).refine(Fraction(1, 10**12))
         assert points and max(points) < 2**e
 
 
