@@ -582,6 +582,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "fibpoly" and args.i is None and args.upto is None:
         parser.error("fibpoly needs --i or --upto")
+    if args.command == "fibpoly" and args.i is not None and args.upto is not None:
+        parser.error("fibpoly takes --i or --upto, not both")
     for flag, floor in _FLOORS.get(args.command, {}).items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and value < floor:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 from math import gcd as _int_gcd
 
@@ -277,6 +278,20 @@ def _primitive_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 # --- the Fibonacci-like family -------------------------------------------------
 
 
+def _three_term(i: int, shift_odd: bool, combine) -> IntPolynomial:
+    """Term i of h_0 = 0, h_1 = 1, h_k = combine(x^s h_(k-1), h_(k-2)), where
+    s = 1 at even k and at odd k too if shift_odd, else 0.  Runs on int
+    coefficient lists, where multiplying by x is a shift, with two live terms."""
+    if i < 0:
+        raise ValueError("index must be non-negative")
+    prev, cur = [], [1]
+    for k in range(2, i + 1):
+        head = [0, *cur] if shift_odd or k % 2 == 0 else cur
+        # degrees never fall, so prev is no longer than head
+        prev, cur = cur, [*map(combine, head, prev), *head[len(prev):]]
+    return IntPolynomial(cur if i else prev)
+
+
 @functools.lru_cache(maxsize=None)
 def fib_f(i: int) -> IntPolynomial:
     """The i-th polynomial of the alternating family.
@@ -284,18 +299,7 @@ def fib_f(i: int) -> IntPolynomial:
     >>> [str(fib_f(i)) for i in range(6)]
     ['0', '1', 'x', 'x - 1', 'x^2 - 2x', 'x^2 - 3x + 1']
     """
-    if i < 0:
-        raise ValueError("index must be non-negative")
-    prev, cur = IntPolynomial(), IntPolynomial.one()  # f_0, f_1
-    if i == 0:
-        return prev
-    x = IntPolynomial.x()
-    for k in range(2, i + 1):
-        if k % 2 == 0:
-            prev, cur = cur, x * cur - prev
-        else:
-            prev, cur = cur, cur - prev
-    return cur
+    return _three_term(i, False, operator.sub)
 
 
 @functools.lru_cache(maxsize=None)
@@ -305,15 +309,14 @@ def fib_g(i: int) -> IntPolynomial:
     >>> str(fib_g(4))
     'x^3 + 2x'
     """
-    if i < 0:
-        raise ValueError("index must be non-negative")
-    prev, cur = IntPolynomial(), IntPolynomial.one()
-    if i == 0:
-        return prev
-    x = IntPolynomial.x()
-    for _ in range(2, i + 1):
-        prev, cur = cur, x * cur + prev
-    return cur
+    return _three_term(i, True, operator.add)
+
+
+def _at_minus_x_squared(p: IntPolynomial) -> IntPolynomial:
+    """p(-x^2) by coefficient placement: c_k goes to degree 2k with sign (-1)^k."""
+    out = [0] * (2 * len(p.coeffs))
+    out[::2] = [-c if k % 2 else c for k, c in enumerate(p.coeffs)]
+    return IntPolynomial(out)
 
 
 def check_fg_relation(i: int) -> bool:
@@ -321,16 +324,10 @@ def check_fg_relation(i: int) -> bool:
 
     For odd i:  (-1)^floor(i/2) * f_i(-x^2) == g_i(x).
     For even i: (-1)^(i/2)      * f_i(-x^2) == x * g_i(x).
+    f and g come from two separate recurrences, so this is a real check.
     """
-    if i < 0:
-        raise ValueError("index must be non-negative")
-    minus_x_sq = IntPolynomial((0, 0, -1))
-    lhs = fib_f(i)(minus_x_sq)
-    if (i // 2) % 2 == 1:
-        lhs = -lhs
-    if i % 2 == 1:
-        return lhs == fib_g(i)
-    return lhs == IntPolynomial.x() * fib_g(i)
+    lhs, g = _at_minus_x_squared(fib_f(i)), fib_g(i).coeffs
+    return (-lhs if (i // 2) % 2 else lhs) == IntPolynomial(g if i % 2 else (0, *g))
 
 
 def divisors(i: int) -> list[int]:

@@ -11,7 +11,9 @@ constructions replaced: J by the braid-orbit filter, edge blocks by every
 raw wiring deduplicated over all column orders, and cells by Tarjan's
 strongly connected components.  The law check of based algebras and modules
 is redone pair by pair in Python ints, and the dihedral structure constants
-by the dense word ladder that the sparse one replaced.
+by the dense word ladder that the sparse one replaced.  The polynomial
+families f and g run their recurrences in polynomial products and
+differences instead of shifted coefficient lists.
 """
 
 from fractions import Fraction
@@ -279,6 +281,26 @@ def classify_by_canonical_form(m):
         if _canonical_rows(mc.matrix.rows) == key:
             return mc
     return None
+
+
+def fib_f_by_products(n: int) -> list[IntPolynomial]:
+    """f_0..f_n of f_k = x f_(k-1) - f_(k-2) (k even), f_(k-1) - f_(k-2)
+    (k odd), in IntPolynomial products and differences."""
+    x = IntPolynomial.x()
+    terms = [IntPolynomial.zero(), IntPolynomial.one()]
+    for k in range(2, n + 1):
+        terms.append((x if k % 2 == 0 else 1) * terms[-1] - terms[-2])
+    return terms[: n + 1]
+
+
+def fib_g_by_products(n: int) -> list[IntPolynomial]:
+    """g_0..g_n of g_k = x g_(k-1) + g_(k-2), in IntPolynomial products and
+    sums."""
+    x = IntPolynomial.x()
+    terms = [IntPolynomial.zero(), IntPolynomial.one()]
+    for _ in range(2, n + 1):
+        terms.append(x * terms[-1] + terms[-2])
+    return terms[: n + 1]
 
 
 def max_root_bracket_by_bisection(p: IntPolynomial, width: Fraction):

@@ -112,6 +112,17 @@ class TestFibpoly:
             cli.main(["fibpoly"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv", [["--i", "5", "--upto", "2"], ["--upto", "2", "--i", "5"]]
+    )
+    def test_index_with_upto_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["fibpoly", *argv])
+        assert excinfo.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "fibpoly takes --i or --upto, not both" in err
+
     def test_negative_upto_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             cli.main(["fibpoly", "--upto", "-3"])

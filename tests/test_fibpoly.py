@@ -29,7 +29,12 @@ from cellspec.fibpoly import (
 from cellspec.higher_rank import b_family_matrix
 from cellspec.intmat import charpoly
 from frozen import F_TABLE, FBAR_TABLE
-from oracles import max_root_bracket_by_bisection, totient
+from oracles import (
+    fib_f_by_products,
+    fib_g_by_products,
+    max_root_bracket_by_bisection,
+    totient,
+)
 
 
 def test_doctests():
@@ -135,6 +140,37 @@ class TestFamily:
     def test_substitution_relation(self):
         for i in range(1, 40):
             assert check_fg_relation(i), i
+
+    def test_families_match_the_product_recurrences(self):
+        fib_f.cache_clear()
+        fib_g.cache_clear()
+        pairs = zip(fib_f_by_products(200), fib_g_by_products(200))
+        for i, (f, g) in enumerate(pairs):
+            assert fib_f(i) == f, f"f_{i}"
+            assert fib_g(i) == g, f"g_{i}"
+
+    def test_coefficient_placement_is_the_substitution(self):
+        minus_x_sq = IntPolynomial((0, 0, -1))
+        for i in range(101):
+            placed = fibpoly_module._at_minus_x_squared(fib_f(i))
+            assert placed == fib_f(i)(minus_x_sq), i
+
+    @pytest.mark.parametrize("name", ["fib_f", "fib_g"])
+    @pytest.mark.parametrize(
+        "perturb",
+        [
+            lambda p: p + 1,
+            lambda p: -p,
+            lambda p: p + IntPolynomial((0,) * p.degree + (1,)),
+        ],
+        ids=["constant", "sign", "leading"],
+    )
+    @pytest.mark.parametrize("i", [1, 2, 5, 12, 31, 64])
+    def test_relation_fails_for_a_perturbed_family(self, monkeypatch, name, perturb, i):
+        assert check_fg_relation(i)
+        family = getattr(fibpoly_module, name)
+        monkeypatch.setattr(fibpoly_module, name, lambda k: perturb(family(k)))
+        assert not check_fg_relation(i)
 
     def test_product_of_factors(self):
         for i in range(1, 61):
