@@ -431,7 +431,10 @@ def _cmd_cells_of_algebra(args) -> int:
 def _cmd_apex(args) -> int:
     m = _load_matrix(args)
     n = args.n if args.n is not None else recover_n(m)
-    rep = DihedralRep(n, m)
+    rep = DihedralRep(n, m)  # refuses a level the matrix does not present
+    level = n if args.n is None else recover_n(m, bound=n)
+    if level != n:  # the module law holds at the matrix's own level only
+        raise ValueError(f"apex --n {n}: the matrix's level is {level}, not {n}")
     module = based_module_of(rep)
     apex_indices = module.apex()
     labels = module.algebra.labels
@@ -440,7 +443,7 @@ def _cmd_apex(args) -> int:
         "transitive": module.is_transitive(),
         "apex": [labels[i] for i in apex_indices],
         "annihilated": [labels[i] for i in module.annihilated()],
-        "minimal_level": args.n is None or rep.has_minimal_level,
+        "minimal_level": True,
     }
     lines = [
         f"level: {n}",

@@ -5,11 +5,7 @@ each generator and a symmetric matrix M of size sum(n_i) with diagonal slot
 blocks 2I.  The block between slots i and j must vanish when the generators
 commute, and on an edge of order m the block B must satisfy f_m(B B^T) = 0,
 exactly as in the rank-2 (dihedral) analysis.  Transitivity forces M to be
-irreducible.  The admissible edge blocks decompose into atoms:
-
-    m = 3: a perfect matching (permutation block),
-    m = 4: components [[1], [1]] or [[1, 1]],
-    m = 5: 2x2 components with exactly three ones.
+irreducible.  Edge blocks are direct sums of atoms (see _edge_blocks).
 
 assembly_search grows the size vectors of a tree-shaped diagram along its
 edges, giving each slot only the sizes the bond to its parent admits, and
@@ -88,7 +84,7 @@ def special_modules(name: str) -> list[AssemblyCandidate]:
     }
     if token in paths:
         return [_path_candidate(token, *path) for path in paths[token]]
-    if token.startswith("B"):
+    if token.startswith(("B", "C")):  # Cn is read as Bn
         n = CoxeterSystem.from_name(token).rank
         return [b_family_matrix(n, 1), b_family_matrix(n, 2)]
     raise ValueError(f"no reference candidates stored for {name!r}")
@@ -257,12 +253,18 @@ def _pairings(items: tuple[int, ...]):
 def _edge_blocks(order: int, n_rows: int, n_cols: int) -> list[IntMatrix]:
     """One edge block per class modulo permutations of the column slot.
 
-    Atoms occupy disjoint rows and columns, so a class is fixed by how the
-    atoms split the rows: for order 3 the identity is the only class; for
-    order 4 it is which rows are paired into a shared column, and how; for
-    order 5 it is how the rows are paired and which row of each pair carries
-    two ones.  The first block is the one the first edge of a search uses.
-    Sizes must already pass _sizes_feasible.
+    Each block is a direct sum of atoms on disjoint rows and columns, so a
+    class is fixed by how the atoms split the rows: for order 3 the identity
+    is the only class; for order 4 it is which rows are paired into a shared
+    column, and how; for order 5 it is how the rows are paired and which row
+    of each pair carries two ones.  The first block is the one the first
+    edge of a search uses.  Sizes must already pass _sizes_feasible.
+
+    Atom lemma, so assembly_search does not test it: f_order(B B^T) = 0, as
+    the Gram of a direct sum of atoms is block-diagonal; B B^T = I for order
+    3 (f_3 = x - 1); [[1], [1]] and [[1, 1]] have Gram eigenvalues 0 and 2
+    (f_4 = x^2 - 2x); a 2x2 atom with three ones has a Gram of trace 3 and
+    determinant 1 (f_5 = x^2 - 3x + 1).  Atoms transpose to atoms: B^T B too.
     """
     if order == 3:
         return [IntMatrix.identity(n_rows)]
@@ -356,7 +358,7 @@ def assembly_search(
             for s in range(1, max_total - sum(v) - (r - k - 2) + 1)
             if _sizes_feasible(order, v[near - 1], s)
         ]
-    results: dict[tuple, AssemblyCandidate] = {}
+    found = set()
     for sizes in vectors:
         per_edge = [
             _edge_blocks(order, sizes[near - 1], sizes[far - 1])
@@ -370,14 +372,7 @@ def assembly_search(
                 (near, far, block.rows)
                 for (near, far, _), block in zip(oriented, combo)
             ])
-            if not is_irreducible_nonneg(m):
-                continue
-            if assembly_violations(system, sizes, m):
-                continue
-            canon = conjugation_canonical(m, sizes)
-            key = (sizes, canon.rows)
-            if key not in results:
-                results[key] = AssemblyCandidate(system.name, sizes, canon)
-    return sorted(
-        results.values(), key=lambda cand: (cand.sizes, cand.matrix.rows)
-    )
+            if is_irreducible_nonneg(m):
+                found.add((sizes, conjugation_canonical(m, sizes).rows))
+    return [AssemblyCandidate(system.name, sizes, IntMatrix(rows))
+            for sizes, rows in sorted(found)]

@@ -12,12 +12,13 @@ enclosed by one centred bound on the matrix shifted to the bracket centre.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import chain
 
 from ._value import Value
 from .fibpoly import (
-    IntPolynomial, _MaxRootBisection, _sign_at, count_roots_in, squarefree_part
+    IntPolynomial, _sign_at, count_roots_in, max_root_bracket, squarefree_part
 )
 
 
@@ -327,15 +328,15 @@ def pf_vector(m: IntMatrix) -> tuple[float, tuple[float, ...]]:
     n = m.n_rows
     p = charpoly(m)
     nonzeros = [[(j, x) for j, x in enumerate(row) if x] for row in m.rows]
-    bisection = _MaxRootBisection(p)
     width = Fraction(1)
     while True:
-        a, b = bisection.refine(width)
+        lo, hi = max_root_bracket(p, width)
         width /= 2 ** 16
-        if float(a) != float(b):
+        if float(lo) != float(hi):
             continue
-        # lam in (c - r, c + r] / d, so S = dM - cI has d lam - c in (-r, r]
-        c, r, d = bisection.a + bisection.b, bisection.b - bisection.a, 2 * bisection.q
+        # lam in (lo, hi] = (c - r, c + r] / d, so S = dM - cI has d lam - c in (-r, r]
+        d = 2 * math.lcm(lo.denominator, hi.denominator)
+        c, r = int((hi + lo) * d / 2), int((hi - lo) * d / 2)
         shifted = [1]  # det(tI - S) = d^n p((t + c) / d), top degree first
         for k in range(1, n + 1):
             shifted = [x + c * y for x, y in zip(shifted + [0], [0] + shifted)]
@@ -350,4 +351,4 @@ def pf_vector(m: IntMatrix) -> tuple[float, tuple[float, ...]]:
         if min(lows) > 0:
             vec = tuple(low / max(highs) for low in lows)  # ratios from below
             if vec == tuple(high / max(lows) for high in highs):  # and from above
-                return float(b), vec
+                return float(hi), vec

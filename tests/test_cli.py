@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from cellspec import cli
+from cellspec import cli, fibpoly
 from cellspec.coxeter import CoxeterSystem, enumerate_J
 from cellspec.dihedral import enumerate_B
 from cellspec.staircase import make_extended_staircase, make_staircase
@@ -420,6 +420,25 @@ class TestSpecial:
         sizes = [c["sizes"] for c in report["results"]["candidates"]]
         assert sorted(map(tuple, sizes)) == [(1, 2, 2), (2, 1, 1)]
 
+    def test_c_rank_is_read_as_b(self, capsys):
+        c3 = run_json(capsys, "special", "--type", "C3")
+        assert c3["results"] == run_json(capsys, "special", "--type", "B3")["results"]
+
+    def test_h3_bisects_its_polynomial_once(self, capsys, monkeypatch):
+        # shared_top_eigenvalue and pf_vector read one bisection memo, and the
+        # module and reflection sides of H3 share their characteristic polynomial
+        built = []
+        real = fibpoly._MaxRootBisection.__init__
+
+        def counting_init(self, p):
+            built.append(p)
+            real(self, p)
+
+        monkeypatch.setattr(fibpoly._MaxRootBisection, "__init__", counting_init)
+        fibpoly._bisection.cache_clear()
+        run_json(capsys, "special", "--type", "H3")
+        assert len(built) == 1
+
     @pytest.mark.parametrize(
         "name, message",
         [("B\u00b2", "cannot parse Coxeter type 'B\u00b2'"),
@@ -548,6 +567,11 @@ class TestApex:
         code, out, err = run_cli(capsys, "apex", "--matrix", "[[1,1],[1,1]]")
         assert code == 1
         assert err.startswith("error:")
+
+    def test_level_above_the_matrix_level_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "apex", "--n", "10", "--matrix", "[[1,1],[0,1]]")
+        assert (code, out) == (1, "")
+        assert err == "error: apex --n 10: the matrix's level is 5, not 10\n"
 
     def test_negative_action_names_the_basis_element(self, capsys):
         # the words 121 and 212 act on the module of [[0]] by -2

@@ -6,6 +6,7 @@ import pytest
 
 import cellspec.higher_rank as higher_rank_module
 from cellspec.coxeter import CoxeterSystem
+from cellspec.dihedral import annihilation_test
 from cellspec.fibpoly import IntPolynomial
 from cellspec.higher_rank import (
     _edge_blocks,
@@ -29,6 +30,14 @@ FEASIBLE_EDGES = [
     for b in range(1, 6)
     if _sizes_feasible(order, a, b)
 ]
+# the (order, rows, cols) edges the five reference searches meet at max_total=16
+SEARCH_EDGES = [
+    (3, 1, 1), (3, 2, 2), (3, 3, 3), (3, 4, 4), (3, 5, 5), (3, 6, 6),
+    (4, 1, 2), (4, 2, 1), (4, 2, 4), (4, 3, 3), (4, 3, 6), (4, 4, 2),
+    (4, 4, 5), (4, 5, 4), (4, 6, 3), (4, 8, 4), (5, 2, 2), (5, 4, 4),
+]
+LEMMA_EDGES = sorted(set(FEASIBLE_EDGES) | set(SEARCH_EDGES))
+REFERENCE_NAMES = ["B3", "H3", "F4", "B4", "H4"]
 
 
 def test_doctests():
@@ -147,7 +156,7 @@ class TestVerifier:
 
 
 class TestSearch:
-    @pytest.mark.parametrize("name", ["B3", "H3", "F4", "B4", "H4"])
+    @pytest.mark.parametrize("name", REFERENCE_NAMES)
     def test_search_finds_exactly_the_references(self, name):
         system = CoxeterSystem.from_name(name)
         found = assembly_search(system, max_total=16)
@@ -161,7 +170,7 @@ class TestSearch:
         }
         assert keys == expected
 
-    @pytest.mark.parametrize("name", ["B3", "H3", "F4", "B4", "H4"])
+    @pytest.mark.parametrize("name", REFERENCE_NAMES)
     def test_search_reaches_max_total(self, name):
         system = CoxeterSystem.from_name(name)
         for sizes, _ in REFERENCE_ASSEMBLIES[name]:
@@ -217,9 +226,9 @@ class TestSearch:
             assembly_search(CoxeterSystem.dihedral(7))
 
     def test_search_results_verify(self):
-        for name in ("B3", "F4"):
+        for name in REFERENCE_NAMES:
             system = CoxeterSystem.from_name(name)
-            for cand in assembly_search(system, max_total=12):
+            for cand in assembly_search(system, max_total=16):
                 assert not assembly_violations(system, cand.sizes, cand.matrix)
 
 
@@ -232,6 +241,25 @@ class TestEdgeBlocks:
         assert len(set(keys)) == len(keys)
         raw = edge_wirings(order, n_rows, n_cols)
         assert set(keys) == {min_under_col_perms(rows) for rows in raw}
+
+    @pytest.mark.parametrize("order, n_rows, n_cols", LEMMA_EDGES)
+    def test_atom_lemma(self, order, n_rows, n_cols):
+        # assembly_search relies on this instead of testing each block
+        for block in _edge_blocks(order, n_rows, n_cols):
+            assert annihilation_test(block, order)
+
+    def test_lemma_covers_the_reference_searches(self, monkeypatch):
+        met = set()
+        real = higher_rank_module._edge_blocks
+
+        def spy(order, n_rows, n_cols):
+            met.add((order, n_rows, n_cols))
+            return real(order, n_rows, n_cols)
+
+        monkeypatch.setattr(higher_rank_module, "_edge_blocks", spy)
+        for name in REFERENCE_NAMES:
+            assembly_search(CoxeterSystem.from_name(name), max_total=16)
+        assert met == set(SEARCH_EDGES)
 
 
 class TestConjugationCanonical:
