@@ -135,12 +135,6 @@ class DihedralRep(Value):
     def dimension(self) -> int:
         return self.b.n_rows + self.b.n_cols
 
-    @property
-    def has_minimal_level(self) -> bool:
-        """Whether n is the smallest level this matrix presents; this is the
-        condition for the module's apex to be the middle cell of level n."""
-        return recover_n(self.b, bound=max(self.n, 3)) == self.n
-
 
 # --- the candidate families -----------------------------------------------------
 

@@ -15,8 +15,8 @@ candidates up to simultaneous within-slot permutation.  Every candidate,
 searched or stored, comes from the one slot-block builder
 intmat._block_matrix (2I on the diagonal slot blocks, one block per edge,
 mirrored); the reference candidates are stored as slot sizes plus one block
-per bond of the path 1 - 2 - ... - n.  For the
-reflection-representation comparison in types H3 and H4, the small matrix over
+per bond of the path 1 - 2 - ... - n, or read off the Coxeter graph in the
+simply laced types.  For the reflection comparison in H3 and H4, the small matrix over
 Z[phi] is written over the integers (each entry a + b*phi as the 2x2 block of
 multiplication by it), so both sides go through the one integer
 characteristic polynomial and the one Sturm root locator.
@@ -72,8 +72,10 @@ def b_family_matrix(n: int, family: int) -> AssemblyCandidate:
 
 def special_modules(name: str) -> list[AssemblyCandidate]:
     """The reference candidate list for a named system: one candidate for H3
-    and for H4, two for F4, and the two families for B_n.  Each is stored as
-    its slot sizes and one block per bond of the path 1 - 2 - ... - n."""
+    and for H4, two for F4, and the two families for B_n, each stored as its
+    slot sizes and one block per bond of the path 1 - 2 - ... - n; for the
+    simply laced A_n, D_n and E_n (n >= 3), the one candidate 2I plus the
+    adjacency matrix of the Coxeter graph."""
     token = name.strip().upper()
     one, column, row, eye = ((1,),), ((1,), (1,)), ((1, 1),), ((1, 0), (0, 1))
     five = ((1, 0), (1, 1))  # the order-5 bond
@@ -87,6 +89,15 @@ def special_modules(name: str) -> list[AssemblyCandidate]:
     if token.startswith(("B", "C")):  # Cn is read as Bn
         n = CoxeterSystem.from_name(token).rank
         return [b_family_matrix(n, 1), b_family_matrix(n, 2)]
+    if token.startswith(("A", "D", "E")):
+        system = CoxeterSystem.from_name(token)
+        if system.rank < 3:
+            raise ValueError(f"reference candidates of type {system.name!r}: "
+                             "rank must be at least 3")
+        sizes = (1,) * system.rank
+        bonds = [(i, j, one) for i in range(1, system.rank + 1)
+                 for j in range(i + 1, system.rank + 1) if system.m(i, j) == 3]
+        return [AssemblyCandidate(system.name, sizes, _block_matrix(sizes, bonds))]
     raise ValueError(f"no reference candidates stored for {name!r}")
 
 
@@ -250,8 +261,9 @@ def _pairings(items: tuple[int, ...]):
             yield ((first, items[idx]),) + tail
 
 
-def _edge_blocks(order: int, n_rows: int, n_cols: int) -> list[IntMatrix]:
-    """One edge block per class modulo permutations of the column slot.
+def _edge_blocks(order: int, n_rows: int, n_cols: int):
+    """One edge block per class modulo permutations of the column slot,
+    yielded in a fixed order.
 
     Each block is a direct sum of atoms on disjoint rows and columns, so a
     class is fixed by how the atoms split the rows: for order 3 the identity
@@ -267,9 +279,8 @@ def _edge_blocks(order: int, n_rows: int, n_cols: int) -> list[IntMatrix]:
     determinant 1 (f_5 = x^2 - 3x + 1).  Atoms transpose to atoms: B^T B too.
     """
     if order == 3:
-        return [IntMatrix.identity(n_rows)]
-    blocks = []
-    if order == 4:
+        yield IntMatrix.identity(n_rows)
+    elif order == 4:
         p = (2 * n_rows - n_cols) // 3
         for paired in itertools.combinations(range(n_rows), 2 * p):
             singles = [x for x in range(n_rows) if x not in paired]
@@ -279,36 +290,51 @@ def _edge_blocks(order: int, n_rows: int, n_cols: int) -> list[IntMatrix]:
                     rows[a][t] = rows[b][t] = 1
                 for u, x in enumerate(singles):
                     rows[x][p + 2 * u] = rows[x][p + 2 * u + 1] = 1
-                blocks.append(IntMatrix.from_rows(rows))
-        return blocks
-    if order == 5:
+                yield IntMatrix.from_rows(rows)
+    elif order == 5:
         for pairs in _pairings(tuple(range(n_rows))):
             for heavy in itertools.product((0, 1), repeat=len(pairs)):
                 rows = [[0] * n_cols for _ in range(n_rows)]
                 for t, (pair, h) in enumerate(zip(pairs, heavy)):
                     a, b = pair[h], pair[1 - h]
                     rows[a][2 * t] = rows[a][2 * t + 1] = rows[b][2 * t] = 1
-                blocks.append(IntMatrix.from_rows(rows))
-        return blocks
-    raise ValueError("edges carry orders 3, 4 or 5")
+                yield IntMatrix.from_rows(rows)
+    else:
+        raise ValueError("edges carry orders 3, 4 or 5")
 
 
 def conjugation_canonical(m: IntMatrix, sizes) -> IntMatrix:
-    """Minimal matrix over simultaneous within-slot permutations applied to
-    rows and columns together."""
-    slots = slot_ranges(sizes, m.n_rows)
-    best = None
-    for parts in itertools.product(
-        *(itertools.permutations(rng) for rng in slots)
-    ):
-        order = [j for part in parts for j in part]
-        cand = tuple(
-            tuple(m.rows[order[i]][order[j]] for j in range(m.n_rows))
-            for i in range(m.n_rows)
-        )
-        if best is None or cand < best:
-            best = cand
-    return IntMatrix(best)
+    """Minimal matrix, rows read in order, over simultaneous within-slot
+    permutations applied to rows and columns together.
+
+    Individualise and refine (McKay 1981): a state is an ordered partition
+    whose first p cells are the rows already placed and whose later cells
+    hold indices those rows cannot tell apart.  Placing x next and splitting
+    every later cell by m[x][.], ascending, gives the least row p that x
+    allows; only states with the least row p go on, until each fixes a matrix.
+    """
+    states = {tuple(tuple(r) for r in slot_ranges(sizes, m.n_rows) if r)}
+    for p in range(m.n_rows):
+        if all(len(cells) == m.n_rows for cells in states):
+            break
+        best, kept = None, set()
+        for cells in states:
+            for x in cells[p]:
+                row, state = m.rows[x], cells[:p] + ((x,),)
+                for cell in (tuple(y for y in cells[p] if y != x),) + cells[p + 1:]:
+                    if len(cell) == 1 or len(values := {row[y] for y in cell}) == 1:
+                        state += (cell,)
+                    else:  # an empty cell adds nothing
+                        for v in sorted(values):
+                            state += (tuple(y for y in cell if row[y] == v),)
+                key = tuple(row[c[0]] for c in state for _ in c)
+                if best is None or key < best:
+                    best, kept = key, {state}
+                elif key == best:
+                    kept.add(state)
+        states = kept
+    return IntMatrix(min(tuple(tuple(m.rows[i][j] for (j,) in c) for (i,) in c)
+                         for c in states))
 
 
 def assembly_search(
@@ -358,15 +384,15 @@ def assembly_search(
             for s in range(1, max_total - sum(v) - (r - k - 2) + 1)
             if _sizes_feasible(order, v[near - 1], s)
         ]
-    found = set()
+    found, blocks = set(), {}
     for sizes in vectors:
-        per_edge = [
-            _edge_blocks(order, sizes[near - 1], sizes[far - 1])
-            for near, far, order in oriented
-        ]
+        keys = [(order, sizes[a - 1], sizes[b - 1]) for a, b, order in oriented]
+        for key in keys[1:]:
+            if key not in blocks:
+                blocks[key] = list(_edge_blocks(*key))
         # The first edge's two slots carry no earlier constraints, so one
         # representative block covers its whole orbit.
-        per_edge[0] = per_edge[0][:1]
+        per_edge = [[next(_edge_blocks(*keys[0]))]] + [blocks[k] for k in keys[1:]]
         for combo in itertools.product(*per_edge):
             m = _block_matrix(sizes, [
                 (near, far, block.rows)

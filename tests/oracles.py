@@ -8,8 +8,9 @@ column permutation; the class matcher that the Dynkin lookup replaced
 compares least arrangements over every column order.  The
 enumerate-then-filter references keep the slow paths that direct
 constructions replaced: J by the braid-orbit filter, edge blocks by every
-raw wiring deduplicated over all column orders, and cells by Tarjan's
-strongly connected components.  The law check of based algebras and modules
+raw wiring deduplicated over all column orders, the conjugation canonical
+form of higher-rank candidates by every product of within-slot
+permutations, and cells by Tarjan's strongly connected components.  The law check of based algebras and modules
 is redone pair by pair in Python ints, and the dihedral structure constants
 by the dense word ladder that the sparse one replaced.  The polynomial
 families f and g run their recurrences in polynomial products and
@@ -23,6 +24,7 @@ import numpy as np
 
 from cellspec.coxeter import is_reduced, tits_orbit
 from cellspec.fibpoly import IntPolynomial
+from cellspec.intmat import IntMatrix, slot_ranges
 from cellspec.staircase import generators_for_shape
 
 
@@ -464,6 +466,22 @@ def min_under_col_perms(rows):
         for perm in permutations(range(len(rows[0])))
     )
 
+
+
+def conjugation_canonical_by_permutations(m, sizes):
+    """The row-major least matrix over simultaneous within-slot permutations
+    of rows and columns, trying every product of within-slot permutations."""
+    slots = slot_ranges(sizes, m.n_rows)
+    best = None
+    for parts in product(*(permutations(rng) for rng in slots)):
+        order = [j for part in parts for j in part]
+        cand = tuple(
+            tuple(m.rows[order[i]][order[j]] for j in range(m.n_rows))
+            for i in range(m.n_rows)
+        )
+        if best is None or cand < best:
+            best = cand
+    return IntMatrix(best)
 
 def cells_by_tarjan(succ):
     """Strongly connected components of the digraph succ (succ[v] lists the

@@ -420,6 +420,18 @@ class TestSpecial:
         sizes = [c["sizes"] for c in report["results"]["candidates"]]
         assert sorted(map(tuple, sizes)) == [(1, 2, 2), (2, 1, 1)]
 
+    @pytest.mark.parametrize("name", ["A3", "D4", "E6", "E7", "E8"])
+    def test_simply_laced_types_list_the_coxeter_graph(self, capsys, name):
+        # one candidate: 2I plus the adjacency matrix of the Coxeter graph
+        system = CoxeterSystem.from_name(name)
+        results = run_json(capsys, "special", "--type", name)["results"]
+        assert [c["sizes"] for c in results["candidates"]] == [[1] * system.rank]
+        assert results["candidates"][0]["matrix"]["entries"] == [
+            [{1: 2, 2: 0, 3: 1}[order] for order in row]
+            for row in system.coxeter_matrix
+        ]
+        assert all(v > 0 for v in results["positive_eigenvector"])
+
     def test_c_rank_is_read_as_b(self, capsys):
         c3 = run_json(capsys, "special", "--type", "C3")
         assert c3["results"] == run_json(capsys, "special", "--type", "B3")["results"]
@@ -455,6 +467,17 @@ class TestSpecial:
          ("B2", "candidate families of type 'B2': rank must be at least 3")],
     )
     def test_too_small_b_rank_names_the_input(self, capsys, name, message):
+        code, out, err = run_cli(capsys, "special", "--type", name)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [("A1", "reference candidates of type 'A1': rank must be at least 3"),
+         ("A2", "reference candidates of type 'A2': rank must be at least 3"),
+         ("D3", "Coxeter type 'D3': rank must be at least 4"),
+         ("E5", "unsupported Coxeter type 'E5'")],
+    )
+    def test_too_small_simply_laced_rank_names_the_input(self, capsys, name, message):
         code, out, err = run_cli(capsys, "special", "--type", name)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 

@@ -159,9 +159,10 @@ class TestRep:
             DihedralRep(5, make_staircase(2, 3))  # level is 6, not 5
         rep = DihedralRep(6, make_staircase(2, 3))
         assert rep.dimension == 5
-        assert rep.has_minimal_level
+        assert recover_n(rep.b, bound=rep.n) == 6
+        # level 12 is presented too, but 6 is the smallest level
         rep12 = DihedralRep(12, make_staircase(2, 3))
-        assert not rep12.has_minimal_level
+        assert recover_n(rep12.b, bound=rep12.n) == 6
 
     def test_theta_access(self):
         rep = DihedralRep(6, make_staircase(2, 3))

@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellspec.higher_rank as higher_rank_module
 from cellspec.coxeter import CoxeterSystem
@@ -21,7 +23,7 @@ from cellspec.higher_rank import (
 )
 from cellspec.intmat import IntMatrix, charpoly
 from frozen import REFERENCE_ASSEMBLIES
-from oracles import edge_wirings, min_under_col_perms
+from oracles import conjugation_canonical_by_permutations, edge_wirings, min_under_col_perms
 
 FEASIBLE_EDGES = [
     (order, a, b)
@@ -261,6 +263,28 @@ class TestEdgeBlocks:
             assembly_search(CoxeterSystem.from_name(name), max_total=16)
         assert met == set(SEARCH_EDGES)
 
+    def test_search_builds_one_first_block_and_each_later_edge_once(self, monkeypatch):
+        real = higher_rank_module._edge_blocks
+        built = 0
+        for name in REFERENCE_NAMES:
+            records = []
+
+            def spy(*key):
+                record = [key, 0]
+                records.append(record)
+                for block in real(*key):
+                    record[1] += 1
+                    yield block
+
+            monkeypatch.setattr(higher_rank_module, "_edge_blocks", spy)
+            assembly_search(CoxeterSystem.from_name(name), max_total=16)
+            for key, pulled in records:
+                assert pulled in (1, len(list(real(*key))))
+            listed = [key for key, pulled in records if pulled > 1]
+            assert len(listed) == len(set(listed))
+            built += sum(pulled for _, pulled in records)
+        assert built == 52  # 250 when every edge built all its blocks
+
 
 class TestConjugationCanonical:
     def test_invariant_under_slot_permutations(self):
@@ -281,6 +305,46 @@ class TestConjugationCanonical:
                  for i in range(n)]
             )
             assert conjugation_canonical(shuffled, sizes) == base
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(st.data())
+    def test_refinement_matches_every_permutation(self, data):
+        sizes = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+        n = sum(sizes)
+        upper = data.draw(st.lists(
+            st.integers(0, 2), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2
+        ))
+        rows = [[0] * n for _ in range(n)]
+        for (i, j), v in zip(
+            ((i, j) for i in range(n) for j in range(i, n)), upper
+        ):
+            rows[i][j] = rows[j][i] = v
+        m = IntMatrix.from_rows(rows)
+        assert conjugation_canonical(m, sizes) == conjugation_canonical_by_permutations(
+            m, sizes
+        )
+
+    def test_matches_every_permutation_on_the_reference_searches(self, monkeypatch):
+        seen = []
+        real = higher_rank_module.conjugation_canonical
+
+        def spy(m, sizes):
+            seen.append((m, sizes))
+            return real(m, sizes)
+
+        monkeypatch.setattr(higher_rank_module, "conjugation_canonical", spy)
+        for name in REFERENCE_NAMES:
+            assembly_search(CoxeterSystem.from_name(name), max_total=16)
+        assert len(seen) == 8
+        for m, sizes in seen:
+            assert real(m, sizes) == conjugation_canonical_by_permutations(m, sizes)
+
+    def test_takes_the_least_of_the_discrete_states(self):
+        # after two placements two states are discrete and fix different matrices
+        m = IntMatrix.from_rows([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 1, 1], [1, 0, 1, 0]])
+        assert conjugation_canonical(m, (4,)) == conjugation_canonical_by_permutations(
+            m, (4,)
+        )
 
     def test_distinguishes_different_wirings(self):
         a = IntMatrix.from_rows([[2, 0, 1, 0], [0, 2, 0, 1],
