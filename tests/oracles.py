@@ -10,9 +10,10 @@ enumerate-then-filter references keep the slow paths that direct
 constructions replaced: J by the braid-orbit filter, edge blocks by every
 raw wiring deduplicated over all column orders, the conjugation canonical
 form of higher-rank candidates by every product of within-slot
-permutations, and cells by Tarjan's strongly connected components.  The law check of based algebras and modules
-is redone pair by pair in Python ints, and the dihedral structure constants
-by the dense word ladder that the sparse one replaced.  The polynomial
+permutations, and cells by Tarjan's strongly connected components.  The
+law check of based algebras and modules is redone pair by pair in Python
+ints, and the dihedral structure constants by the dense word ladder that
+the sparse one replaced.  The polynomial
 families f and g run their recurrences in polynomial products and
 differences instead of shifted coefficient lists.
 """
@@ -467,7 +468,6 @@ def min_under_col_perms(rows):
     )
 
 
-
 def conjugation_canonical_by_permutations(m, sizes):
     """The row-major least matrix over simultaneous within-slot permutations
     of rows and columns, trying every product of within-slot permutations."""
@@ -482,6 +482,7 @@ def conjugation_canonical_by_permutations(m, sizes):
         if best is None or cand < best:
             best = cand
     return IntMatrix(best)
+
 
 def cells_by_tarjan(succ):
     """Strongly connected components of the digraph succ (succ[v] lists the

@@ -477,7 +477,7 @@ class TestSpecial:
          ("D3", "Coxeter type 'D3': rank must be at least 4"),
          ("E5", "unsupported Coxeter type 'E5'")],
     )
-    def test_too_small_simply_laced_rank_names_the_input(self, capsys, name, message):
+    def test_refused_simply_laced_type_names_the_input(self, capsys, name, message):
         code, out, err = run_cli(capsys, "special", "--type", name)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 

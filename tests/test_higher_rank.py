@@ -23,7 +23,11 @@ from cellspec.higher_rank import (
 )
 from cellspec.intmat import IntMatrix, charpoly
 from frozen import REFERENCE_ASSEMBLIES
-from oracles import conjugation_canonical_by_permutations, edge_wirings, min_under_col_perms
+from oracles import (
+    conjugation_canonical_by_permutations,
+    edge_wirings,
+    min_under_col_perms,
+)
 
 FEASIBLE_EDGES = [
     (order, a, b)
@@ -311,13 +315,12 @@ class TestConjugationCanonical:
     def test_refinement_matches_every_permutation(self, data):
         sizes = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
         n = sum(sizes)
-        upper = data.draw(st.lists(
-            st.integers(0, 2), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2
-        ))
+        upper = [(i, j) for i in range(n) for j in range(i, n)]
+        values = data.draw(
+            st.lists(st.integers(0, 2), min_size=len(upper), max_size=len(upper))
+        )
         rows = [[0] * n for _ in range(n)]
-        for (i, j), v in zip(
-            ((i, j) for i in range(n) for j in range(i, n)), upper
-        ):
+        for (i, j), v in zip(upper, values):
             rows[i][j] = rows[j][i] = v
         m = IntMatrix.from_rows(rows)
         assert conjugation_canonical(m, sizes) == conjugation_canonical_by_permutations(
@@ -341,7 +344,9 @@ class TestConjugationCanonical:
 
     def test_takes_the_least_of_the_discrete_states(self):
         # after two placements two states are discrete and fix different matrices
-        m = IntMatrix.from_rows([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 1, 1], [1, 0, 1, 0]])
+        m = IntMatrix.from_rows(
+            [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 1, 1], [1, 0, 1, 0]]
+        )
         assert conjugation_canonical(m, (4,)) == conjugation_canonical_by_permutations(
             m, (4,)
         )
