@@ -146,10 +146,7 @@ def _cmd_cells(args) -> int:
 
 
 def _cmd_fibpoly(args) -> int:
-    if args.upto is not None:
-        indices = list(range(0, args.upto + 1))
-    else:
-        indices = [args.i]
+    indices = [args.i] if args.upto is None else range(args.upto + 1)
     rows = []
     lines = []
     for i in indices:
@@ -157,15 +154,8 @@ def _cmd_fibpoly(args) -> int:
         g = fib_g(i)
         fbar = fib_irreducible_factor(i)
         ok = check_fg_relation(i)
-        rows.append(
-            {
-                "i": i,
-                "f": _poly_json(f),
-                "g": _poly_json(g),
-                "fbar": _poly_json(fbar),
-                "relation_ok": ok,
-            }
-        )
+        rows.append({"i": i, "f": _poly_json(f), "g": _poly_json(g),
+                     "fbar": _poly_json(fbar), "relation_ok": ok})
         lines.append(
             f"i={i}: f = {f}; g = {g}; fbar = {fbar}; "
             f"substitution identity {'holds' if ok else 'FAILS'}"
@@ -459,90 +449,80 @@ def _cmd_apex(args) -> int:
 
 # --- parser ----------------------------------------------------------------------
 
+_MATRIX_ARGUMENTS = (
+    ("--matrix", {"help": "matrix as a JSON list of rows"}),
+    ("--matrix-file", {"help": "path to a JSON matrix file"}),
+)
 
-def _add_matrix_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--matrix", help="matrix as a JSON list of rows")
-    p.add_argument("--matrix-file", help="path to a JSON matrix file")
+# name -> (help, argument specs, handler), one spec (name, add_argument
+# keywords) per argument; every command also takes --json
+_COMMANDS = {
+    "cells": ("unique-expression cell table of a system", (
+        ("type", {"help": "Coxeter type, e.g. A3, B4, H3, I2_7"}),
+        ("--max-length", {"type": int}),
+    ), _cmd_cells),
+    "fibpoly": ("the alternating polynomial family",
+                (("--i", {"type": int}), ("--upto", {"type": int})), _cmd_fibpoly),
+    "matspec": ("exact spectral report of a matrix", _MATRIX_ARGUMENTS, _cmd_matspec),
+    "classify-matrix": ("classify a 0-1 matrix with Gram spectrum in [0,4)",
+                        _MATRIX_ARGUMENTS, _cmd_classify_matrix),
+    "oracle-under4": ("exhaustive search of one shape, up to equivalence", (
+        ("--rows", {"type": int, "required": True}),
+        ("--cols", {"type": int, "required": True}),
+        ("--max-entry", {"type": int, "default": 2}),
+        ("--no-prefilter", {"action": "store_true"}),
+    ), _cmd_oracle_under4),
+    "enumerate-b": ("candidate matrices at a dihedral level",
+                    (("--n", {"type": int, "required": True}),), _cmd_enumerate_b),
+    "dihedral-table": ("multiplication table of a dihedral level algebra", (
+        ("--n", {"type": int, "required": True}),
+    ), _cmd_dihedral_table),
+    "verify-rank3": ("check a candidate matrix for a higher-rank system", (
+        ("--type", {"required": True}),
+        ("--sizes", {"required": True, "help": "comma-separated slot sizes"}),
+        ("--require-size-multiple", {"action": "store_true"}),
+        *_MATRIX_ARGUMENTS,
+    ), _cmd_verify_rank3),
+    "special": ("reference candidates for a named system",
+                (("--type", {"required": True}),), _cmd_special),
+    "quiver": ("zigzag algebra of a cell matrix 2I + A",
+               _MATRIX_ARGUMENTS, _cmd_quiver),
+    "cells-of-algebra": ("cells of a based algebra", (
+        ("--gamma-file", {"help": "JSON with labels, gamma, identity"}),
+        ("--dihedral-n", {"type": int}),
+    ), _cmd_cells_of_algebra),
+    "apex": ("apex of the module given by a 0-1 matrix",
+             (("--n", {"type": int}), *_MATRIX_ARGUMENTS), _cmd_apex),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for arg, options in _COMMANDS[name][1]:
+        p.add_argument(arg, **options)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
+    return p
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The full parser, one subparser per command: main parses a call that
+    names a command with _command_parser, any other call and error here."""
     parser = argparse.ArgumentParser(
         prog="cellspec",
         description="Exact computations with cell combinatorics, "
         "spectra of 0-1 matrices, and candidate module matrices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("cells", help="unique-expression cell table of a system")
-    p.add_argument("type", help="Coxeter type, e.g. A3, B4, H3, I2_7")
-    p.add_argument("--max-length", type=int, default=None)
-    p.set_defaults(func=_cmd_cells)
-
-    p = sub.add_parser("fibpoly", help="the alternating polynomial family")
-    p.add_argument("--i", type=int, default=None)
-    p.add_argument("--upto", type=int, default=None)
-    p.set_defaults(func=_cmd_fibpoly)
-
-    p = sub.add_parser("matspec", help="exact spectral report of a matrix")
-    _add_matrix_arguments(p)
-    p.set_defaults(func=_cmd_matspec)
-
-    p = sub.add_parser(
-        "classify-matrix", help="classify a 0-1 matrix with Gram spectrum in [0,4)"
-    )
-    _add_matrix_arguments(p)
-    p.set_defaults(func=_cmd_classify_matrix)
-
-    p = sub.add_parser(
-        "oracle-under4", help="exhaustive search of one shape, up to equivalence"
-    )
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--cols", type=int, required=True)
-    p.add_argument("--max-entry", type=int, default=2)
-    p.add_argument("--no-prefilter", action="store_true")
-    p.set_defaults(func=_cmd_oracle_under4)
-
-    p = sub.add_parser("enumerate-b", help="candidate matrices at a dihedral level")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_enumerate_b)
-
-    p = sub.add_parser(
-        "dihedral-table", help="multiplication table of a dihedral level algebra"
-    )
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=_cmd_dihedral_table)
-
-    p = sub.add_parser(
-        "verify-rank3", help="check a candidate matrix for a higher-rank system"
-    )
-    p.add_argument("--type", required=True)
-    p.add_argument("--sizes", required=True, help="comma-separated slot sizes")
-    p.add_argument("--require-size-multiple", action="store_true")
-    _add_matrix_arguments(p)
-    p.set_defaults(func=_cmd_verify_rank3)
-
-    p = sub.add_parser("special", help="reference candidates for a named system")
-    p.add_argument("--type", required=True)
-    p.set_defaults(func=_cmd_special)
-
-    p = sub.add_parser("quiver", help="zigzag algebra of a cell matrix 2I + A")
-    _add_matrix_arguments(p)
-    p.set_defaults(func=_cmd_quiver)
-
-    p = sub.add_parser("cells-of-algebra", help="cells of a based algebra")
-    p.add_argument("--gamma-file", help="JSON with labels, gamma, identity")
-    p.add_argument("--dihedral-n", type=int, default=None)
-    p.set_defaults(func=_cmd_cells_of_algebra)
-
-    p = sub.add_parser("apex", help="apex of the module given by a 0-1 matrix")
-    p.add_argument("--n", type=int, default=None)
-    _add_matrix_arguments(p)
-    p.set_defaults(func=_cmd_apex)
-
-    for sp in sub.choices.values():
-        sp.add_argument("--json", action="store_true", help="machine-readable output")
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of one command, built as build_parser builds its
+    subparser, so its usage lines, help and errors are the same."""
+    return _add_arguments(argparse.ArgumentParser(prog=f"cellspec {name}"), name)
 
 
 # the smallest value of each bounded integer flag: counts and lengths start
@@ -563,7 +543,7 @@ _UNPRUNED_MATRICES = 2**16
 _PRUNED_LINES = 14
 
 
-def _check_oracle_size(parser, args) -> None:
+def _check_oracle_size(args) -> None:
     """Refuse an oracle-under4 search too large to finish; shapes and
     entry bounds below 1 are left to the search's own domain errors."""
     r, c, e = args.rows, args.cols, args.max_entry
@@ -572,30 +552,40 @@ def _check_oracle_size(parser, args) -> None:
     if args.no_prefilter:
         # an exponent above 16 already exceeds 2**16 since e + 1 >= 2
         if r * c > 16 or (e + 1) ** (r * c) > _UNPRUNED_MATRICES:
-            parser.error(
+            build_parser().error(
                 "oracle-under4 --no-prefilter needs "
                 f"(--max-entry + 1) ** (--rows * --cols) <= {_UNPRUNED_MATRICES}"
             )
     elif r + c > _PRUNED_LINES:
-        parser.error(f"oracle-under4 needs --rows + --cols <= {_PRUNED_LINES}")
+        build_parser().error(f"oracle-under4 needs --rows + --cols <= {_PRUNED_LINES}")
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "fibpoly" and args.i is None and args.upto is None:
-        parser.error("fibpoly needs --i or --upto")
-    if args.command == "fibpoly" and args.i is not None and args.upto is not None:
-        parser.error("fibpoly takes --i or --upto, not both")
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if argv and argv[0] in _COMMANDS:
+        args, extra = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if extra:  # argparse's own message, under the top-level usage line
+            build_parser().error("unrecognized arguments: " + " ".join(extra))
+        args.command = argv[0]
+    else:
+        args = build_parser().parse_args(argv)
+    return _run(args)
+
+
+def _run(args) -> int:
+    """Apply the checks argparse cannot express, then run the command."""
+    if args.command == "fibpoly" and (args.i is None) == (args.upto is None):
+        build_parser().error("fibpoly needs --i or --upto" if args.i is None
+                             else "fibpoly takes --i or --upto, not both")
     for flag, floor in _FLOORS.get(args.command, {}).items():
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None and value < floor:
             bound = f"at least {floor}" if floor else "non-negative"
-            parser.error(f"{args.command} {flag} must be {bound}")
+            build_parser().error(f"{args.command} {flag} must be {bound}")
     if args.command == "oracle-under4":
-        _check_oracle_size(parser, args)
+        _check_oracle_size(args)
     try:
-        return args.func(args)
+        return _COMMANDS[args.command][2](args)
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

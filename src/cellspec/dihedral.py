@@ -27,6 +27,7 @@ candidates at levels 12, 18 and 30 whose origin is left hypothetical.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import sub
 
 from ._value import Value
 from .based_algebra import BasedAlgebra, BasedModule
@@ -251,10 +252,15 @@ def structure_constants(n: int):
     e, alternating words of lengths 1..n-1 (two per length).
 
     gamma[i][j][k] is the coefficient of basis element k in the product of
-    basis elements i and j, read off the left multiplication matrices of the
-    basis elements.  Those come from the two generator matrices by the
-    sparse word ladder (_word_ladder), with the length-n words truncated to
-    zero.
+    basis elements i and j, by the product rule of the alternating words.
+    Write (p, l) for the word of length l starting with generator p.  For x
+    = (p, a) ending with generator u and y = (q, b), the product of their
+    basis elements is the sum over the words (p, l), l > 0, of
+
+      2 (p, l) for l = |a-b|+1, |a-b|+3, ..., a+b-1           if q = u,
+      (p, l) for l = |a-b|, |a-b|+2, ..., a+b, times 2 inside  if q != u,
+
+    where the quotient sends (p, n) to 0 and (p, l) for l > n to -(p, 2n-l).
 
     >>> labels, gamma = structure_constants(3)
     >>> labels
@@ -266,32 +272,27 @@ def structure_constants(n: int):
         raise ValueError("level must be at least 3")
     labels = _basis_labels(n)
     size = len(labels)
-    index = {lab: i for i, lab in enumerate(labels)}
-
-    # left multiplication by a generator g on the truncated basis
-    def generator_left(g: int) -> IntMatrix:
-        mat = [[0] * size for _ in range(size)]
-        mat[index[_word(g, 1)]][index["e"]] += 1
-        for length in range(1, n):
-            same = index[_word(g, length)]
-            mat[same][same] += 2
-            col = index[_word(3 - g, length)]
-            if length + 1 <= n - 1:
-                mat[index[_word(g, length + 1)]][col] += 1
-            if length >= 2:
-                mat[index[_word(g, length - 1)]][col] += 1
-        return IntMatrix.from_rows(mat)
-
-    words = _word_ladder(generator_left(1), generator_left(2), n - 1)
-    ident = tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-    # gamma[i][j][k] = L_i[k][j]: each plane is the transpose of L_i
-    tensor = tuple(
-        tuple(zip(*(ident if lab == "e" else words[(int(lab[0]), len(lab))].rows)))
-        for lab in labels
-    )
-    if min(min(row) for plane in tensor for row in plane) < 0:
-        raise AssertionError("negative structure constant")
-    return tuple(labels), tensor
+    ident = [tuple(int(i == k) for k in range(size)) for i in range(size)]
+    # the word (p, l) is basis element 2l + p - 2; each plane starts with e
+    tensor = [ident] + [[ident[i]] + [()] * (size - 1) for i in range(1, size)]
+    for a in range(1, n):
+        for b in range(1, n):
+            lo, hi = abs(a - b), a + b
+            for same in (1, 0):  # q = u, then q != u
+                coeffs = [0] * (2 * n)  # by length l, before the quotient
+                coeffs[lo + same:hi + 1 - same:2] = [2] * ((hi - lo) // 2 + 1 - same)
+                if not same:
+                    coeffs[lo] = coeffs[hi] = 1
+                folded = list(map(sub, coeffs[1:n], coeffs[2 * n - 1:n:-1]))
+                if min(folded) < 0:
+                    raise AssertionError("negative structure constant")
+                for p in (1, 2):
+                    u = p if a % 2 else 3 - p
+                    q = u if same else 3 - u
+                    row = [0] * size
+                    row[p::2] = folded
+                    tensor[2 * a + p - 2][2 * b + q - 2] = tuple(row)
+    return tuple(labels), tuple(map(tuple, tensor))
 
 
 @lru_cache(maxsize=None)

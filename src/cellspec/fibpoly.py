@@ -413,7 +413,12 @@ def sturm_chain(p: IntPolynomial) -> list[IntPolynomial]:
 
 @functools.lru_cache(maxsize=_STURM_CACHE_SIZE)
 def _sturm_chain(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
-    p0 = squarefree_part(IntPolynomial(coeffs))
+    """The remainder sequence of (p, p'), p made primitive, whose last member
+    is gcd(p, p') up to a constant factor: the chain itself when that member
+    is constant, else the chain of squarefree_part(p) = p / gcd(p, p')."""
+    p0 = IntPolynomial(coeffs).primitive_part()
+    if p0.is_zero():
+        raise ValueError("zero polynomial has no squarefree part")
     chain = [p0]
     if p0.degree >= 1:
         chain.append(p0.derivative().primitive_part())
@@ -422,6 +427,8 @@ def _sturm_chain(coeffs: tuple[int, ...]) -> tuple[IntPolynomial, ...]:
             if not rem:
                 break
             chain.append(-rem)
+    if chain[-1].degree >= 1:
+        return _sturm_chain(p0.exact_div(chain[-1].primitive_part()).coeffs)
     return tuple(chain)
 
 

@@ -13,9 +13,10 @@ form of higher-rank candidates by every product of within-slot
 permutations, and cells by Tarjan's strongly connected components.  The
 law check of based algebras and modules is redone pair by pair in Python
 ints, and the dihedral structure constants by the dense word ladder that
-the sparse one replaced.  The polynomial
+the product rule replaced.  The polynomial
 families f and g run their recurrences in polynomial products and
-differences instead of shifted coefficient lists.
+differences instead of shifted coefficient lists, and a Sturm chain is built
+from the squarefree part, by a gcd, rather than from one remainder sequence.
 """
 
 from fractions import Fraction
@@ -24,7 +25,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from cellspec.coxeter import is_reduced, tits_orbit
-from cellspec.fibpoly import IntPolynomial
+from cellspec.fibpoly import IntPolynomial, _primitive_rem, squarefree_part
 from cellspec.intmat import IntMatrix, slot_ranges
 from cellspec.staircase import generators_for_shape
 
@@ -304,6 +305,22 @@ def fib_g_by_products(n: int) -> list[IntPolynomial]:
     for _ in range(2, n + 1):
         terms.append(x * terms[-1] + terms[-2])
     return terms[: n + 1]
+
+
+def sturm_chain_by_squarefree_part(p: IntPolynomial) -> list[IntPolynomial]:
+    """Reference for fibpoly.sturm_chain: the squarefree part p / gcd(p, p')
+    first, then its own remainder sequence of negated primitive
+    pseudo-remainders."""
+    p0 = squarefree_part(p)
+    chain = [p0]
+    if p0.degree >= 1:
+        chain.append(p0.derivative().primitive_part())
+        while chain[-1].degree >= 1:
+            rem = _primitive_rem(chain[-2], chain[-1])
+            if not rem:
+                break
+            chain.append(-rem)
+    return chain
 
 
 def max_root_bracket_by_bisection(p: IntPolynomial, width: Fraction):
