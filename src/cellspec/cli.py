@@ -3,9 +3,12 @@
 Every subcommand accepts --json for a machine-readable report of the shape
 {"command": ..., "inputs": ..., "results": ..., "paper_anchors": [...]},
 serialized deterministically (sorted keys, fixed separators).  Matrices are
-serialized as {"rows": r, "cols": c, "entries": [[...], ...]}.  Exit codes:
-0 on success, 1 on a domain error (bad matrix, failed classification, out of
-range spectrum), 2 on usage errors.
+serialized as {"rows": r, "cols": c, "entries": [[...], ...]}.  Without
+--json a subcommand prints human-readable lines instead, computed only then.
+Exit codes: 0 on success, 1 on a domain error (bad matrix, failed
+classification, out of range spectrum), 2 on usage errors, and 141
+(128 + SIGPIPE) with nothing on stderr when stdout is closed before the
+report is written.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from .based_algebra import BasedAlgebra
@@ -101,24 +105,12 @@ def _poly_json(p) -> dict:
     return {"coeffs": list(p.coeffs), "text": str(p)}
 
 
-def _emit(args, inputs, results, anchors, lines) -> None:
-    if args.json:
-        report = {
-            "command": args.command,
-            "inputs": inputs,
-            "results": results,
-            "paper_anchors": anchors,
-        }
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-    else:
-        for line in lines:
-            print(line)
-
-
 # --- subcommand handlers ---------------------------------------------------------
+# Each handler computes everything, yields its report (inputs, results,
+# paper anchors), then yields its text lines, which only a text call draws.
 
 
-def _cmd_cells(args) -> int:
+def _cmd_cells(args):
     system = CoxeterSystem.from_name(args.type)
     table = cell_table(system, max_length=args.max_length)
     rank = system.rank
@@ -133,71 +125,64 @@ def _cmd_cells(args) -> int:
         "elements": [_word_text(w, rank) for w in table.elements],
         "boxes": boxes,
     }
-    lines = [f"unique-expression elements of {system.name}: {table.size}"]
-    for i in system.generators:
-        for j in system.generators:
-            box = table.box(i, j)
-            if box:
-                words = ", ".join(str(_word_text(w, rank)) for w in box)
-                lines.append(f"R{i} x L{j}: {words}")
     inputs = {"type": args.type, "max_length": args.max_length}
-    _emit(args, inputs, results, [f"cell-table:{system.name}"], lines)
-    return 0
+    yield inputs, results, [f"cell-table:{system.name}"]
+    yield f"unique-expression elements of {system.name}: {table.size}"
+    for i, row in zip(system.generators, boxes):
+        for j, box in zip(system.generators, row):
+            if box:
+                yield f"R{i} x L{j}: " + ", ".join(str(w) for w in box)
 
 
-def _cmd_fibpoly(args) -> int:
+def _cmd_fibpoly(args):
     indices = [args.i] if args.upto is None else range(args.upto + 1)
-    rows = []
-    lines = []
-    for i in indices:
-        f = fib_f(i)
-        g = fib_g(i)
-        fbar = fib_irreducible_factor(i)
-        ok = check_fg_relation(i)
-        rows.append({"i": i, "f": _poly_json(f), "g": _poly_json(g),
-                     "fbar": _poly_json(fbar), "relation_ok": ok})
-        lines.append(
-            f"i={i}: f = {f}; g = {g}; fbar = {fbar}; "
-            f"substitution identity {'holds' if ok else 'FAILS'}"
-        )
+    rows = [
+        {"i": i, "f": _poly_json(fib_f(i)), "g": _poly_json(fib_g(i)),
+         "fbar": _poly_json(fib_irreducible_factor(i)),
+         "relation_ok": check_fg_relation(i)}
+        for i in indices
+    ]
     anchors = ["polynomial-family:f", "polynomial-family:g", "factor-table"]
-    _emit(args, {"i": args.i, "upto": args.upto}, rows, anchors, lines)
-    return 0
+    yield {"i": args.i, "upto": args.upto}, rows, anchors
+    for row in rows:
+        yield (
+            f"i={row['i']}: f = {row['f']['text']}; g = {row['g']['text']}; "
+            f"fbar = {row['fbar']['text']}; "
+            f"substitution identity {'holds' if row['relation_ok'] else 'FAILS'}"
+        )
 
 
-def _cmd_matspec(args) -> int:
+def _cmd_matspec(args):
     m = _load_matrix(args)
     results: dict = {"matrix": _matrix_json(m)}
-    lines = [f"shape: {m.n_rows} x {m.n_cols}"]
     if m.is_square():
         p = charpoly(m)
         results["charpoly"] = _poly_json(p)
-        lines.append(f"characteristic polynomial: {p}")
         if m.is_symmetric():
-            mp = squarefree_part(p)
-            results["minpoly"] = _poly_json(mp)
-            lines.append(f"minimal polynomial: {mp}")
+            results["minpoly"] = _poly_json(squarefree_part(p))
     left = minpoly_symmetric(gram(m, "left"))
     right = minpoly_symmetric(gram(m, "right"))
     results["gram_left_minpoly"] = _poly_json(left)
     results["gram_right_minpoly"] = _poly_json(right)
-    below = gram_spectrum_below_4(m)
-    results["gram_spectrum_below_4"] = below
-    lines.append(f"left Gram minimal polynomial: {left}")
-    lines.append(f"right Gram minimal polynomial: {right}")
-    lines.append(f"gram spectrum inside [0, 4): {'yes' if below else 'no'}")
+    results["gram_spectrum_below_4"] = gram_spectrum_below_4(m)
     try:
-        level = _level_of_minpolys(left, right)
-        results["dihedral_level"] = level
-        lines.append(f"smallest annihilating level: {level}")
+        results["dihedral_level"] = _level_of_minpolys(left, right)
     except ValueError:
         results["dihedral_level"] = None
-        lines.append("smallest annihilating level: none up to 120")
-    _emit(args, {"matrix": _matrix_json(m)}, results, ["spectral-report"], lines)
-    return 0
+    yield {"matrix": _matrix_json(m)}, results, ["spectral-report"]
+    yield f"shape: {m.n_rows} x {m.n_cols}"
+    for key, name in (("charpoly", "characteristic"), ("minpoly", "minimal"),
+                      ("gram_left_minpoly", "left Gram minimal"),
+                      ("gram_right_minpoly", "right Gram minimal")):
+        if key in results:
+            yield f"{name} polynomial: {results[key]['text']}"
+    yield "gram spectrum inside [0, 4): " + (
+        "yes" if results["gram_spectrum_below_4"] else "no")
+    level = results["dihedral_level"]
+    yield f"smallest annihilating level: {'none up to 120' if level is None else level}"
 
 
-def _cmd_classify_matrix(args) -> int:
+def _cmd_classify_matrix(args):
     m = _load_matrix(args)
     mc = classify_under4(m)
     results = {
@@ -208,12 +193,11 @@ def _cmd_classify_matrix(args) -> int:
         "representative": _matrix_json(mc.matrix),
         "description": mc.describe(),
     }
-    _emit(args, {"matrix": _matrix_json(m)}, results, ["classification-under-4"],
-          [f"class: {mc.describe()}"])
-    return 0
+    yield {"matrix": _matrix_json(m)}, results, ["classification-under-4"]
+    yield f"class: {results['description']}"
 
 
-def _cmd_oracle_under4(args) -> int:
+def _cmd_oracle_under4(args):
     classes = brute_force_under4(
         args.rows, args.cols, max_entry=args.max_entry,
         prefilter=not args.no_prefilter,
@@ -228,25 +212,21 @@ def _cmd_oracle_under4(args) -> int:
         "classes": [_matrix_json(m) for m in classes],
         "matches_expected_families": found == expected,
     }
-    lines = [f"classes with Gram spectrum in [0, 4): {len(classes)}"]
-    for m in classes:
-        lines.append("  " + json.dumps(m.to_lists()))
-    lines.append(
-        "matches the expected families: "
-        + ("yes" if results["matches_expected_families"] else "NO")
-    )
     inputs = {
         "rows": args.rows,
         "cols": args.cols,
         "max_entry": args.max_entry,
         "prefilter": not args.no_prefilter,
     }
-    _emit(args, inputs, results, ["exhaustive-search-under-4"], lines)
-    return 0
+    yield inputs, results, ["exhaustive-search-under-4"]
+    yield f"classes with Gram spectrum in [0, 4): {len(classes)}"
+    for m in results["classes"]:
+        yield "  " + json.dumps(m["entries"])
+    yield "matches the expected families: " + (
+        "yes" if results["matches_expected_families"] else "NO")
 
 
-def _cmd_enumerate_b(args) -> int:
-    candidates = enumerate_B(args.n)
+def _cmd_enumerate_b(args):
     results = [
         {
             "matrix": _matrix_json(c.matrix),
@@ -256,39 +236,30 @@ def _cmd_enumerate_b(args) -> int:
             "variant": c.variant,
             "description": c.describe(),
         }
-        for c in candidates
+        for c in enumerate_B(args.n)
     ]
-    lines = [f"candidates at level {args.n}: {len(candidates)}"]
-    for c in candidates:
-        lines.append(f"  {c.describe()}: {json.dumps(c.matrix.to_lists())}")
-    _emit(args, {"n": args.n}, results, [f"dihedral-candidates:level-{args.n}"],
-          lines)
-    return 0
+    yield {"n": args.n}, results, [f"dihedral-candidates:level-{args.n}"]
+    yield f"candidates at level {args.n}: {len(results)}"
+    for c in results:
+        yield f"  {c['description']}: {json.dumps(c['matrix']['entries'])}"
 
 
-def _cmd_dihedral_table(args) -> int:
+def _cmd_dihedral_table(args):
     labels, gamma = structure_constants(args.n)
     results = {"labels": list(labels), "gamma": [
         [list(row) for row in plane] for plane in gamma
     ]}
-    lines = [f"basis of the level-{args.n} algebra: {', '.join(labels)}"]
-    size = len(labels)
-    for i in range(size):
-        for j in range(size):
-            terms = [
-                (gamma[i][j][k], labels[k])
-                for k in range(size)
-                if gamma[i][j][k]
-            ]
+    yield {"n": args.n}, results, [f"dihedral-algebra:level-{args.n}"]
+    yield f"basis of the level-{args.n} algebra: {', '.join(labels)}"
+    for left, plane in zip(labels, gamma):
+        for right, row in zip(labels, plane):
             text = " + ".join(
-                lab if c == 1 else f"{c}*{lab}" for c, lab in terms
+                lab if c == 1 else f"{c}*{lab}" for c, lab in zip(row, labels) if c
             ) or "0"
-            lines.append(f"{labels[i]} * {labels[j]} = {text}")
-    _emit(args, {"n": args.n}, results, [f"dihedral-algebra:level-{args.n}"], lines)
-    return 0
+            yield f"{left} * {right} = {text}"
 
 
-def _cmd_verify_rank3(args) -> int:
+def _cmd_verify_rank3(args):
     system = CoxeterSystem.from_name(args.type)
     try:
         sizes = tuple(int(x) for x in args.sizes.split(","))
@@ -300,20 +271,20 @@ def _cmd_verify_rank3(args) -> int:
     problems = assembly_violations(
         system, sizes, m, require_size_multiple=args.require_size_multiple
     )
-    results = {"valid": not problems, "violations": problems}
-    lines = ["valid candidate" if not problems else "not a candidate:"]
-    lines += [f"  {p}" for p in problems]
     inputs = {
         "type": system.name,
         "sizes": list(sizes),
         "matrix": _matrix_json(m),
         "require_size_multiple": args.require_size_multiple,
     }
-    _emit(args, inputs, results, [f"assembly-check:{system.name}"], lines)
-    return 0
+    results = {"valid": not problems, "violations": problems}
+    yield inputs, results, [f"assembly-check:{system.name}"]
+    yield "valid candidate" if not problems else "not a candidate:"
+    for p in problems:
+        yield f"  {p}"
 
 
-def _cmd_special(args) -> int:
+def _cmd_special(args):
     candidates = special_modules(args.type)
     results: dict = {
         "candidates": [
@@ -321,38 +292,33 @@ def _cmd_special(args) -> int:
             for c in candidates
         ]
     }
-    lines = [f"reference candidates for {args.type.upper()}: {len(candidates)}"]
-    for c in candidates:
-        lines.append(f"  sizes {c.sizes}: {json.dumps(c.matrix.to_lists())}")
     token = args.type.strip().upper()
+    anchors = [f"special-candidates:{token}"]
+    shared = None
     if token in ("H3", "H4"):
-        shared = shared_top_eigenvalue(token)
-        results["shared_top_eigenvalue"] = round(shared.value, 10)
-        lines.append(f"shared top eigenvalue: {shared.value:.7f}")
+        shared = shared_top_eigenvalue(token).value
+        results["shared_top_eigenvalue"] = round(shared, 10)
+        anchors.append(f"shared-eigenvalue:{token}")
     lam, vec = pf_vector(candidates[0].matrix)
     results["top_eigenvalue"] = round(lam, 10)
     results["positive_eigenvector"] = [round(x, 10) for x in vec]
-    lines.append(f"top eigenvalue of the first candidate: {lam:.7f}")
-    lines.append(
-        "positive eigenvector (max entry 1): "
-        + ", ".join(f"{x:.6f}" for x in vec)
-    )
-    anchors = [f"special-candidates:{token}"]
-    if token in ("H3", "H4"):
-        anchors.append(f"shared-eigenvalue:{token}")
-    _emit(args, {"type": args.type}, results, anchors, lines)
-    return 0
+    yield {"type": args.type}, results, anchors
+    yield f"reference candidates for {args.type.upper()}: {len(candidates)}"
+    for c, row in zip(candidates, results["candidates"]):
+        yield f"  sizes {c.sizes}: {json.dumps(row['matrix']['entries'])}"
+    if shared is not None:
+        yield f"shared top eigenvalue: {shared:.7f}"
+    yield f"top eigenvalue of the first candidate: {lam:.7f}"
+    yield "positive eigenvector (max entry 1): " + ", ".join(f"{x:.6f}" for x in vec)
 
 
-def _cmd_quiver(args) -> int:
+def _cmd_quiver(args):
     m = _load_matrix(args)
     z = ZigzagAlgebra.from_m_matrix(m)
     try:
-        dynkin = z.dynkin_type()
-        dynkin_note = dynkin
+        dynkin = dynkin_note = z.dynkin_type()
     except NotSimplyLacedDynkinError as exc:
-        dynkin = None
-        dynkin_note = f"not simply laced Dynkin ({exc})"
+        dynkin, dynkin_note = None, f"not simply laced Dynkin ({exc})"
     results = {
         "vertices": z.n_vertices,
         "edges": [list(e) for e in z.edges],
@@ -364,22 +330,18 @@ def _cmd_quiver(args) -> int:
             for v in range(1, z.n_vertices + 1)
         },
     }
-    lines = [
-        f"graph: {z.n_vertices} vertices, edges {list(z.edges)}",
-        f"algebra dimension: {z.total_dimension()}",
-        f"dynkin type: {dynkin_note}",
-    ]
-    for v in range(1, z.n_vertices + 1):
-        layers = " / ".join(
-            ",".join(str(x) for x in layer) for layer in z.loewy_layers(v)
-        )
-        lines.append(f"projective at {v}: {layers}")
     anchors = ["zigzag-algebra", "dynkin-classification"]
-    _emit(args, {"matrix": _matrix_json(m)}, results, anchors, lines)
-    return 0
+    yield {"matrix": _matrix_json(m)}, results, anchors
+    yield f"graph: {z.n_vertices} vertices, edges {list(z.edges)}"
+    yield f"algebra dimension: {results['total_dimension']}"
+    yield f"dynkin type: {dynkin_note}"
+    for v, layers in results["loewy_layers"].items():
+        yield f"projective at {v}: " + " / ".join(
+            ",".join(str(x) for x in layer) for layer in layers
+        )
 
 
-def _cmd_cells_of_algebra(args) -> int:
+def _cmd_cells_of_algebra(args):
     if args.dihedral_n is not None:
         algebra = based_algebra_of(args.dihedral_n)
         source = {"dihedral_n": args.dihedral_n}
@@ -401,24 +363,20 @@ def _cmd_cells_of_algebra(args) -> int:
             labels, data["gamma"], identity=data.get("identity", 0)
         )
         source = {"gamma_file": args.gamma_file}
-    results = {}
-    lines = []
-    for side in ("left", "right", "two_sided"):
-        partition = (
-            algebra.two_sided_cells if side == "two_sided" else algebra.cells(side)
-        )
-        cells = [
-            [algebra.labels[i] for i in cell] for cell in partition.cells
-        ]
-        results[side] = cells
-        lines.append(f"{side} cells: " + " | ".join(
+    results = {
+        side: [[algebra.labels[i] for i in cell] for cell in partition.cells]
+        for side, partition in (("left", algebra.cells("left")),
+                                ("right", algebra.cells("right")),
+                                ("two_sided", algebra.two_sided_cells))
+    }
+    yield source, results, ["cell-partition"]
+    for side, cells in results.items():
+        yield f"{side} cells: " + " | ".join(
             "{" + ", ".join(cell) + "}" for cell in cells
-        ))
-    _emit(args, source, results, ["cell-partition"], lines)
-    return 0
+        )
 
 
-def _cmd_apex(args) -> int:
+def _cmd_apex(args):
     m = _load_matrix(args)
     n = args.n if args.n is not None else recover_n(m)
     rep = DihedralRep(n, m)  # refuses a level the matrix does not present
@@ -435,16 +393,11 @@ def _cmd_apex(args) -> int:
         "annihilated": [labels[i] for i in module.annihilated()],
         "minimal_level": True,
     }
-    lines = [
-        f"level: {n}",
-        f"transitive: {'yes' if results['transitive'] else 'no'}",
-        "apex cell: {" + ", ".join(results["apex"]) + "}",
-        "annihilated basis elements: "
-        + (", ".join(results["annihilated"]) or "none"),
-    ]
-    inputs = {"n": args.n, "matrix": _matrix_json(m)}
-    _emit(args, inputs, results, [f"module-apex:level-{n}"], lines)
-    return 0
+    yield {"n": args.n, "matrix": _matrix_json(m)}, results, [f"module-apex:level-{n}"]
+    yield f"level: {n}"
+    yield f"transitive: {'yes' if results['transitive'] else 'no'}"
+    yield "apex cell: {" + ", ".join(results["apex"]) + "}"
+    yield "annihilated basis elements: " + (", ".join(results["annihilated"]) or "none")
 
 
 # --- parser ----------------------------------------------------------------------
@@ -573,7 +526,8 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
-    """Apply the checks argparse cannot express, then run the command."""
+    """Apply the checks argparse cannot express, run the command, and write
+    its report to stdout: the JSON envelope with --json, else its text."""
     if args.command == "fibpoly" and (args.i is None) == (args.upto is None):
         build_parser().error("fibpoly needs --i or --upto" if args.i is None
                              else "fibpoly takes --i or --upto, not both")
@@ -585,10 +539,25 @@ def _run(args) -> int:
     if args.command == "oracle-under4":
         _check_oracle_size(args)
     try:
-        return _COMMANDS[args.command][2](args)
+        report = _COMMANDS[args.command][2](args)
+        inputs, results, anchors = next(report)
+        if args.json:
+            text = json.dumps(
+                {"command": args.command, "inputs": inputs, "results": results,
+                 "paper_anchors": anchors},
+                sort_keys=True, separators=(",", ":"),
+            )
+        else:
+            text = "\n".join(report)
     except (ValueError, ArithmeticError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # the reader closed stdout: exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return 0
 
 
 if __name__ == "__main__":

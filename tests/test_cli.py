@@ -3,7 +3,8 @@
 Each subcommand is exercised at least once.  JSON output must parse, be
 deterministic across runs, carry the fixed report envelope, and agree
 with the library calls it wraps.  Domain errors exit with code 1 and a
-message on stderr; usage errors exit with code 2 via argparse.
+message on stderr; usage errors exit with code 2 via argparse; a closed
+stdout exits with code 141 and nothing on stderr.
 """
 
 import json
@@ -682,6 +683,50 @@ class TestUsageErrors:
             cli.main([])
         assert excinfo.value.code == 2
 
+
+
+class TestReportWriter:
+    @pytest.mark.parametrize("extra", [["--json"], []], ids=["json", "text"])
+    def test_closed_stdout_exits_141_quietly(self, extra):
+        # the level-60 table (3.4 MB as JSON, 6 MB as text) is larger than a
+        # pipe buffer, so writing it fails once the reader closes the pipe
+        source = Path(cli.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(source)}
+        argv = ["-m", "cellspec.cli", "dihedral-table", "--n", "60", *extra]
+        proc = subprocess.Popen(
+            [sys.executable, *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
+
+    @staticmethod
+    def drawn_items(monkeypatch):
+        """Wrap the dihedral-table handler; return the list of items drawn."""
+        help_text, specs, handler = cli._COMMANDS["dihedral-table"]
+        drawn = []
+
+        def counting(args):
+            for item in handler(args):
+                drawn.append(item)
+                yield item
+
+        monkeypatch.setitem(cli._COMMANDS, "dihedral-table", (help_text, specs, counting))
+        return drawn
+
+    def test_json_builds_no_text(self, capsys, monkeypatch):
+        drawn = self.drawn_items(monkeypatch)
+        run_json(capsys, "dihedral-table", "--n", "7")
+        assert len(drawn) == 1
+
+    def test_text_draws_the_report_and_each_printed_line(self, capsys, monkeypatch):
+        drawn = self.drawn_items(monkeypatch)
+        code, out, err = run_cli(capsys, "dihedral-table", "--n", "7")
+        assert (code, err) == (0, "")
+        assert len(drawn) == 1 + len(out.splitlines())
+        assert drawn[1:] == out.splitlines()
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli.build_parser() is cli.build_parser()
