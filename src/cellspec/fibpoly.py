@@ -334,15 +334,7 @@ def divisors(i: int) -> list[int]:
     """Positive divisors of i in increasing order."""
     if i <= 0:
         raise ValueError("positive integer required")
-    small, large = [], []
-    d = 1
-    while d * d <= i:
-        if i % d == 0:
-            small.append(d)
-            if d != i // d:
-                large.append(i // d)
-        d += 1
-    return small + large[::-1]
+    return [d for d in range(1, i + 1) if i % d == 0]
 
 
 @functools.lru_cache(maxsize=None)

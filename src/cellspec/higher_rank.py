@@ -10,8 +10,11 @@ irreducible.  Edge blocks are direct sums of atoms (see _edge_blocks).
 assembly_search grows the size vectors of a tree-shaped diagram along its
 edges, giving each slot only the sizes the bond to its parent admits, and
 for each edge builds one block per class modulo permutations of its far slot
-directly from how the atoms split the near slot's rows; it returns the
-candidates up to simultaneous within-slot permutation.  Every candidate,
+directly from how the atoms split the near slot's rows.  It keeps a
+combination of blocks only if their nonzero entries join every index (for
+2I plus non-negative blocks, that is irreducibility), tests this on the
+entries before it builds any matrix, and returns the candidates up to
+simultaneous within-slot permutation.  Every candidate,
 searched or stored, comes from the one slot-block builder
 intmat._block_matrix (2I on the diagonal slot blocks, one block per edge,
 mirrored); the reference candidates are stored as slot sizes plus one block
@@ -32,7 +35,8 @@ from .coxeter import CoxeterSystem
 from .dihedral import annihilation_test
 from .fibpoly import count_roots_in, max_root_bracket
 from .intmat import (
-    IntMatrix, _block_matrix, charpoly, is_irreducible_nonneg, reachable, slot_ranges
+    IntMatrix, _block_matrix, charpoly, is_connected, is_irreducible_nonneg, reachable,
+    slot_ranges,
 )
 
 
@@ -132,16 +136,15 @@ class SharedEigenvalue(Value):
     from_reflection: float
 
 
-def shared_top_eigenvalue(name: str, tol: float = 1e-9) -> SharedEigenvalue:
+def shared_top_eigenvalue(name: str) -> SharedEigenvalue:
     """The common top eigenvalue of the big candidate matrix and the small
     reflection-side matrix for H3 or H4.
 
     Both characteristic polynomials are exact integer polynomials (the
     reflection side through reflection_sign_matrix), and each largest root
-    is bracketed by Sturm bisection.  Raises ValueError if the bracket
-    midpoints differ by tol or more, or if the two largest roots are not
-    proved to be one root: a root of their gcd above which neither
-    polynomial has another root.
+    is bracketed by Sturm bisection.  Raises ValueError if the two largest
+    roots are not proved to be one root: a root of their gcd above which
+    neither polynomial has another root.
     """
     width = Fraction(1, 10 ** 12)
     p = charpoly(special_modules(name)[0].matrix)
@@ -150,10 +153,6 @@ def shared_top_eigenvalue(name: str, tol: float = 1e-9) -> SharedEigenvalue:
     lo_q, hi_q = max_root_bracket(q, width)
     from_module = float((lo_p + hi_p) / 2)
     from_reflection = float((lo_q + hi_q) / 2)
-    if abs(from_module - from_reflection) >= tol:
-        raise ValueError(
-            f"top eigenvalues disagree: {from_module} vs {from_reflection}"
-        )
     # Above lo the gcd has a root, which is then the one root of p and of q
     # above lo, hence the largest root of each.
     lo = max(lo_p, lo_q)
@@ -346,7 +345,9 @@ def assembly_search(
     The diagram must be connected, tree-shaped, and carry bond orders in
     {2, 3, 4, 5} off the diagonal; every finite system handled by this
     package is of that shape.  Only size vectors that pass _sizes_feasible
-    on every edge are built, each far slot taking what its bond admits.
+    on every edge are built, each far slot taking what its bond admits.  A
+    combination of edge blocks becomes a matrix, and is canonicalised, only
+    if the graph of its blocks' nonzero entries is connected.
     """
     r = system.rank
     if r < 2:
@@ -393,12 +394,19 @@ def assembly_search(
         # The first edge's two slots carry no earlier constraints, so one
         # representative block covers its whole orbit.
         per_edge = [[next(_edge_blocks(*keys[0]))]] + [blocks[k] for k in keys[1:]]
+        total = sum(sizes)
+        slots = slot_ranges(sizes, total)
         for combo in itertools.product(*per_edge):
-            m = _block_matrix(sizes, [
-                (near, far, block.rows)
-                for (near, far, _), block in zip(oriented, combo)
-            ])
-            if is_irreducible_nonneg(m):
+            bonds = [(near, far, block.rows)
+                     for (near, far, _), block in zip(oriented, combo)]
+            # 2I plus these blocks is irreducible exactly when the blocks'
+            # nonzero entries join every index
+            if is_connected(total, [
+                (x, y) for near, far, rows in bonds
+                for x, row in zip(slots[near - 1], rows)
+                for y, v in zip(slots[far - 1], row) if v
+            ]):
+                m = _block_matrix(sizes, bonds)
                 found.add((sizes, conjugation_canonical(m, sizes).rows))
     return [AssemblyCandidate(system.name, sizes, IntMatrix(rows))
             for sizes, rows in sorted(found)]

@@ -225,6 +225,20 @@ def reachable(adjacency, start=0) -> list:
     return order
 
 
+def is_connected(n: int, edges) -> bool:
+    """Connectivity of the undirected graph on vertices 0..n-1 whose edges
+    are the given pairs; the empty graph (n = 0) counts as connected.
+
+    >>> is_connected(3, [(0, 1), (2, 1)]), is_connected(3, [(0, 1)])
+    (True, False)
+    """
+    adjacency: list[list[int]] = [[] for _ in range(n)]
+    for a, b in edges:
+        adjacency[a].append(b)
+        adjacency[b].append(a)
+    return n == 0 or len(reachable(adjacency)) == n
+
+
 def slot_ranges(sizes, total: int) -> list[range]:
     """Consecutive index ranges of the given lengths, which must be positive
     and sum to total."""

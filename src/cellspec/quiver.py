@@ -18,7 +18,7 @@ on any other graph.
 from __future__ import annotations
 
 from ._value import Value
-from .intmat import IntMatrix, reachable
+from .intmat import IntMatrix, is_connected, reachable
 
 
 class NotSimplyLacedDynkinError(ValueError):
@@ -41,10 +41,9 @@ class ZigzagAlgebra(Value):
             if not (1 <= i <= n_vertices and 1 <= j <= n_vertices) or i == j:
                 raise ValueError(f"bad edge ({i}, {j})")
             cleaned.add((min(i, j), max(i, j)))
-        algebra = ZigzagAlgebra(n_vertices, tuple(sorted(cleaned)))
-        if not algebra.is_connected():
+        if not is_connected(n_vertices, [(i - 1, j - 1) for i, j in cleaned]):
             raise ValueError("graph must be connected")
-        return algebra
+        return ZigzagAlgebra(n_vertices, tuple(sorted(cleaned)))
 
     @staticmethod
     def from_m_matrix(m: IntMatrix) -> "ZigzagAlgebra":
@@ -79,12 +78,6 @@ class ZigzagAlgebra(Value):
             elif j == v:
                 out.append(i)
         return tuple(sorted(out))
-
-    def is_connected(self) -> bool:
-        if self.n_vertices == 0:
-            return True
-        adjacency = {v: self.neighbors(v) for v in range(1, self.n_vertices + 1)}
-        return len(reachable(adjacency, start=1)) == self.n_vertices
 
     def adjacency_matrix(self) -> IntMatrix:
         n = self.n_vertices

@@ -33,7 +33,7 @@ import bisect
 import itertools
 
 from ._value import Value
-from .intmat import IntMatrix, gram, reachable, spectrum_in_range
+from .intmat import IntMatrix, gram, is_connected, spectrum_in_range
 from .quiver import NotSimplyLacedDynkinError, dynkin_type_of_graph
 
 
@@ -235,17 +235,9 @@ def is_connected_bipartite(m: IntMatrix) -> bool:
     """Connectivity of the bipartite graph on rows and columns with an edge
     where the matrix has a nonzero entry.  Isolated vertices (zero lines)
     make the graph disconnected."""
-    r, c = m.n_rows, m.n_cols
-    n = r + c
-    if n == 0:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for i in range(r):
-        for j in range(c):
-            if m.rows[i][j]:
-                adj[i].append(r + j)
-                adj[r + j].append(i)
-    return len(reachable(adj)) == n
+    r = m.n_rows
+    return is_connected(r + m.n_cols, [(i, r + j) for i, row in enumerate(m.rows)
+                                       for j, v in enumerate(row) if v])
 
 
 def _smaller_gram(m: IntMatrix) -> IntMatrix:

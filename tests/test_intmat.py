@@ -8,6 +8,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cellspec.intmat as intmat_module
 from cellspec.fibpoly import IntPolynomial
@@ -17,6 +19,7 @@ from cellspec.intmat import (
     IntMatrix,
     charpoly,
     gram,
+    is_connected,
     is_irreducible_nonneg,
     minpoly_symmetric,
     pf_vector,
@@ -157,6 +160,27 @@ class TestIrreducibility:
             [[2, 1, 0, 0], [1, 2, 0, 0], [0, 0, 2, 1], [0, 0, 1, 2]]
         )
         assert not is_irreducible_nonneg(m)
+
+
+class TestConnectivity:
+    def test_empty_graph_is_connected(self):
+        assert is_connected(0, [])
+
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(st.data())
+    def test_matches_irreducibility_of_2i_plus_adjacency(self, data):
+        n = data.draw(st.integers(1, 8))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=12) if pairs
+                          else st.just([]))
+        rows = [[2 * (i == j) for j in range(n)] for i in range(n)]
+        for i, j in edges:
+            rows[i][j] = rows[j][i] = 1
+        # either order of each pair names the same edge
+        flipped = [(j, i) if data.draw(st.booleans()) else (i, j) for i, j in edges]
+        assert is_connected(n, flipped) == is_irreducible_nonneg(
+            IntMatrix.from_rows(rows)
+        )
 
 
 class TestPerronFrobenius:
