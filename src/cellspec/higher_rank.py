@@ -10,11 +10,9 @@ irreducible.  Edge blocks are direct sums of atoms (see _edge_blocks).
 assembly_search grows the size vectors of a tree-shaped diagram along its
 edges, giving each slot only the sizes the bond to its parent admits, and
 for each edge builds one block per class modulo permutations of its far slot
-directly from how the atoms split the near slot's rows.  It keeps a
-combination of blocks only if their nonzero entries join every index (for
-2I plus non-negative blocks, that is irreducibility), tests this on the
-entries before it builds any matrix, and returns the candidates up to
-simultaneous within-slot permutation.  Every candidate,
+directly from how the atoms split the near slot's rows; it builds a matrix
+only where the blocks' nonzero entries connect every index, and returns
+the candidates up to simultaneous within-slot permutation.  Every candidate,
 searched or stored, comes from the one slot-block builder
 intmat._block_matrix (2I on the diagonal slot blocks, one block per edge,
 mirrored); the reference candidates are stored as slot sizes plus one block
@@ -345,9 +343,8 @@ def assembly_search(
     The diagram must be connected, tree-shaped, and carry bond orders in
     {2, 3, 4, 5} off the diagonal; every finite system handled by this
     package is of that shape.  Only size vectors that pass _sizes_feasible
-    on every edge are built, each far slot taking what its bond admits.  A
-    combination of edge blocks becomes a matrix, and is canonicalised, only
-    if the graph of its blocks' nonzero entries is connected.
+    on every edge are built, each far slot taking what its bond admits; a block
+    combination becomes a matrix only if its nonzero entries connect every index.
     """
     r = system.rank
     if r < 2:
@@ -399,8 +396,7 @@ def assembly_search(
         for combo in itertools.product(*per_edge):
             bonds = [(near, far, block.rows)
                      for (near, far, _), block in zip(oriented, combo)]
-            # 2I plus these blocks is irreducible exactly when the blocks'
-            # nonzero entries join every index
+            # 2I plus non-negative blocks is irreducible iff their entries connect
             if is_connected(total, [
                 (x, y) for near, far, rows in bonds
                 for x, row in zip(slots[near - 1], rows)
