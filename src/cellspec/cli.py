@@ -408,14 +408,16 @@ _MATRIX_ARGUMENTS = (
 )
 
 # name -> (help, argument specs, handler), one spec (name, add_argument
-# keywords) per argument; every command also takes --json
+# keywords) per argument; every command also takes --json.  "floor" is the
+# least value of a bounded integer flag: 0 for counts, 3 for dihedral levels
 _COMMANDS = {
     "cells": ("unique-expression cell table of a system", (
         ("type", {"help": "Coxeter type, e.g. A3, B4, H3, I2_7"}),
-        ("--max-length", {"type": int}),
+        ("--max-length", {"type": int, "floor": 0}),
     ), _cmd_cells),
-    "fibpoly": ("the alternating polynomial family",
-                (("--i", {"type": int}), ("--upto", {"type": int})), _cmd_fibpoly),
+    "fibpoly": ("the alternating polynomial family", (
+        ("--i", {"type": int, "floor": 0}), ("--upto", {"type": int, "floor": 0}),
+    ), _cmd_fibpoly),
     "matspec": ("exact spectral report of a matrix", _MATRIX_ARGUMENTS, _cmd_matspec),
     "classify-matrix": ("classify a 0-1 matrix with Gram spectrum in [0,4)",
                         _MATRIX_ARGUMENTS, _cmd_classify_matrix),
@@ -425,10 +427,11 @@ _COMMANDS = {
         ("--max-entry", {"type": int, "default": 2}),
         ("--no-prefilter", {"action": "store_true"}),
     ), _cmd_oracle_under4),
-    "enumerate-b": ("candidate matrices at a dihedral level",
-                    (("--n", {"type": int, "required": True}),), _cmd_enumerate_b),
+    "enumerate-b": ("candidate matrices at a dihedral level", (
+        ("--n", {"type": int, "required": True, "floor": 3}),
+    ), _cmd_enumerate_b),
     "dihedral-table": ("multiplication table of a dihedral level algebra", (
-        ("--n", {"type": int, "required": True}),
+        ("--n", {"type": int, "required": True, "floor": 3}),
     ), _cmd_dihedral_table),
     "verify-rank3": ("check a candidate matrix for a higher-rank system", (
         ("--type", {"required": True}),
@@ -442,16 +445,16 @@ _COMMANDS = {
                _MATRIX_ARGUMENTS, _cmd_quiver),
     "cells-of-algebra": ("cells of a based algebra", (
         ("--gamma-file", {"help": "JSON with labels, gamma, identity"}),
-        ("--dihedral-n", {"type": int}),
+        ("--dihedral-n", {"type": int, "floor": 3}),
     ), _cmd_cells_of_algebra),
     "apex": ("apex of the module given by a 0-1 matrix",
-             (("--n", {"type": int}), *_MATRIX_ARGUMENTS), _cmd_apex),
+             (("--n", {"type": int, "floor": 3}), *_MATRIX_ARGUMENTS), _cmd_apex),
 }
 
 
 def _add_arguments(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
     for arg, options in _COMMANDS[name][1]:
-        p.add_argument(arg, **options)
+        p.add_argument(arg, **{k: v for k, v in options.items() if k != "floor"})
     p.add_argument("--json", action="store_true", help="machine-readable output")
     return p
 
@@ -476,18 +479,6 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of one command, built as build_parser builds its
     subparser, so its usage lines, help and errors are the same."""
     return _add_arguments(argparse.ArgumentParser(prog=f"cellspec {name}"), name)
-
-
-# the smallest value of each bounded integer flag: counts and lengths start
-# at 0, dihedral levels at 3
-_FLOORS = {
-    "cells": {"--max-length": 0},
-    "fibpoly": {"--i": 0, "--upto": 0},
-    "enumerate-b": {"--n": 3},
-    "dihedral-table": {"--n": 3},
-    "cells-of-algebra": {"--dihedral-n": 3},
-    "apex": {"--n": 3},
-}
 
 
 # the largest searches oracle-under4 runs: matrices tried without the
@@ -531,8 +522,9 @@ def _run(args) -> int:
     if args.command == "fibpoly" and (args.i is None) == (args.upto is None):
         build_parser().error("fibpoly needs --i or --upto" if args.i is None
                              else "fibpoly takes --i or --upto, not both")
-    for flag, floor in _FLOORS.get(args.command, {}).items():
-        value = getattr(args, flag[2:].replace("-", "_"))
+    for flag, options in _COMMANDS[args.command][1]:
+        floor = options.get("floor")
+        value = None if floor is None else getattr(args, flag[2:].replace("-", "_"))
         if value is not None and value < floor:
             bound = f"at least {floor}" if floor else "non-negative"
             build_parser().error(f"{args.command} {flag} must be {bound}")

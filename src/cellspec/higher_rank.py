@@ -235,8 +235,6 @@ def assembly_violations(
 
 
 def _sizes_feasible(order: int, a: int, b: int) -> bool:
-    if order == 2:
-        return True
     if order == 3:
         return a == b
     if order == 5:

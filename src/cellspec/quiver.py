@@ -11,8 +11,10 @@ radical layers [v], neighbors of v, [v].
 The graph eigenvalue bridge: M = 2I + A has all eigenvalues in [0, 4)
 exactly when A has spectral radius strictly below 2, which for connected
 graphs happens exactly for the simply laced Dynkin diagrams A_n, D_n, E6,
-E7, E8.  dynkin_type names the diagram and raises NotSimplyLacedDynkinError
-on any other graph.
+E7, E8.  dynkin_type_of_graph names the diagram and raises
+NotSimplyLacedDynkinError on any other graph.  It builds one adjacency from
+the distinct edges, checked as from_graph checks them, reads degrees off its
+list lengths and measures each arm of the branch vertex by a reachable walk.
 """
 
 from __future__ import annotations
@@ -36,11 +38,7 @@ class ZigzagAlgebra(Value):
     def from_graph(n_vertices: int, edges) -> "ZigzagAlgebra":
         if n_vertices < 1:
             raise ValueError("at least one vertex required")
-        cleaned = set()
-        for i, j in edges:
-            if not (1 <= i <= n_vertices and 1 <= j <= n_vertices) or i == j:
-                raise ValueError(f"bad edge ({i}, {j})")
-            cleaned.add((min(i, j), max(i, j)))
+        cleaned = _distinct_edges(n_vertices, edges)
         if not is_connected(n_vertices, [(i - 1, j - 1) for i, j in cleaned]):
             raise ValueError("graph must be connected")
         return ZigzagAlgebra(n_vertices, tuple(sorted(cleaned)))
@@ -116,45 +114,44 @@ class ZigzagAlgebra(Value):
         return dynkin_type_of_graph(self.n_vertices, self.edges)
 
 
+def _distinct_edges(n_vertices: int, edges) -> set[tuple[int, int]]:
+    """The distinct edges (i, j), i < j; refuses a loop or a vertex out of range."""
+    cleaned = set()
+    for i, j in edges:
+        if not (1 <= i <= n_vertices and 1 <= j <= n_vertices) or i == j:
+            raise ValueError(f"bad edge ({i}, {j})")
+        cleaned.add((min(i, j), max(i, j)))
+    return cleaned
+
+
 def dynkin_type_of_graph(n_vertices: int, edges) -> str:
     """Classify a connected simple graph as A_n, D_n, E6, E7 or E8.
 
     The test is structural: a tree with no vertex of degree >= 4 and at most
     one vertex of degree 3; paths are A_n, arm lengths (1, 1, c) give
-    D_(c+3), and (1, 2, c) with c in (2, 3, 4) give E6, E7, E8.
+    D_(c+3), and (1, 2, c) with c in (2, 3, 4) give E6, E7, E8.  A repeated
+    edge counts once, and a bad edge raises ValueError as in from_graph.
     """
-    edges = tuple(tuple(sorted(e)) for e in edges)
-    if len(set(edges)) != n_vertices - 1:
+    edges = _distinct_edges(n_vertices, edges)
+    if len(edges) != n_vertices - 1:
         raise NotSimplyLacedDynkinError("graph is not a tree")
-    degree = {v: 0 for v in range(1, n_vertices + 1)}
     adjacency = {v: [] for v in range(1, n_vertices + 1)}
     for i, j in edges:
-        degree[i] += 1
-        degree[j] += 1
         adjacency[i].append(j)
         adjacency[j].append(i)
-    # connectivity: a tree on n vertices with n-1 distinct edges is connected
-    # exactly when every vertex is reachable from vertex 1
+    # a graph on n vertices with n-1 edges is a tree exactly when connected
     if len(reachable(adjacency, start=1)) != n_vertices:
         raise NotSimplyLacedDynkinError("graph is disconnected")
-    if any(d >= 4 for d in degree.values()):
+    if any(len(a) >= 4 for a in adjacency.values()):
         raise NotSimplyLacedDynkinError("a vertex has degree at least 4")
-    branch = [v for v, d in degree.items() if d == 3]
+    branch = [v for v, a in adjacency.items() if len(a) == 3]
     if len(branch) > 1:
         raise NotSimplyLacedDynkinError("more than one branch vertex")
     if not branch:
         return f"A{n_vertices}"
-    center = branch[0]
-    arms = []
-    for start in adjacency[center]:
-        length = 1
-        prev, cur = center, start
-        while degree[cur] == 2:
-            nxt = [w for w in adjacency[cur] if w != prev][0]
-            prev, cur = cur, nxt
-            length += 1
-        arms.append(length)
-    arms.sort()
+    # empty the branch vertex's list: a walk from a neighbour is its arm plus it
+    starts, adjacency[branch[0]] = adjacency[branch[0]], []
+    arms = sorted(len(reachable(adjacency, start=w)) - 1 for w in starts)
     if arms[0] != 1:
         raise NotSimplyLacedDynkinError(f"arm lengths {tuple(arms)}")
     if arms[1] == 1:

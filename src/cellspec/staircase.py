@@ -293,19 +293,21 @@ def classify_under4(m: IntMatrix) -> MatrixClass:
     MatrixClass (its representative is the reference construction, equal to
     the input up to row and column permutations).  The spectrum is in range
     exactly when the support is a Dynkin tree, and the class is the one of
-    that type (classes_of_type) with the same shape and Dynkin key.
+    that type (classes_of_type) with the same shape and Dynkin key; only a
+    support that is no Dynkin tree is tested for connectivity.
 
     >>> classify_under4(IntMatrix.from_rows([[1, 1, 0], [0, 1, 1]])).kind
     'staircase'
     """
     check_binary(m)
-    if not is_connected_bipartite(m):
-        raise ReducibleGramError("bipartite support graph is disconnected")
     key = _dynkin_key(m)
+    if key is None and not is_connected_bipartite(m):
+        raise ReducibleGramError("bipartite support graph is disconnected")
     if key is None:
         raise SpectrumOutOfRangeError("some Gram eigenvalue is at least 4")
-    for mc in classes_of_type(key[0]):
-        if mc.matrix.shape == m.shape and _dynkin_key(mc.matrix) == key:
+    name, branch_in_row = key  # X1 and X3 have their branch vertex in a row
+    for mc in classes_of_type(name):
+        if mc.matrix.shape == m.shape and branch_in_row in (None, not mc.transposed):
             return mc
     raise RuntimeError(
         "matrix passes all spectral tests but matches no known class; "

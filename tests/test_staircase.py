@@ -155,6 +155,48 @@ class TestClassification:
         with pytest.raises(ReducibleGramError):
             classify_under4(IntMatrix.from_rows([[1, 1], [0, 0]]))
 
+    @pytest.mark.parametrize("rows", [
+        [[1, 1, 0], [1, 1, 0], [0, 0, 1]],  # a 4-cycle beside an edge
+        [[1, 1, 1, 1, 0], [0, 0, 0, 0, 1]],  # a degree-4 star beside an edge
+        [[1, 1, 0], [1, 1, 0], [0, 0, 0]],  # a 4-cycle and a zero row
+    ])
+    def test_a_disconnected_support_out_of_range_is_reducible(self, rows):
+        with pytest.raises(ReducibleGramError):
+            classify_under4(IntMatrix.from_rows(rows))
+
+    @staticmethod
+    def counted_reads(monkeypatch):
+        """Count the calls classify_under4 makes to the Dynkin reader and to
+        the connectivity test."""
+        calls = {"key": 0, "connected": 0}
+
+        def counting(name, tag):
+            inner = getattr(staircase_module, name)
+
+            def wrapper(m):
+                calls[tag] += 1
+                return inner(m)
+
+            monkeypatch.setattr(staircase_module, name, wrapper)
+
+        counting("_dynkin_key", "key")
+        counting("is_connected_bipartite", "connected")
+        return calls
+
+    def test_an_in_range_matrix_is_read_once(self, monkeypatch):
+        calls = self.counted_reads(monkeypatch)
+        classes = [mc for r in range(1, 6) for c in range(1, 6)
+                   for mc in generators_for_shape(r, c)]
+        for mc in classes:
+            assert classify_under4(mc.matrix) == mc
+        assert calls == {"key": len(classes), "connected": 0}
+
+    def test_an_out_of_range_matrix_asks_connectivity_once(self, monkeypatch):
+        calls = self.counted_reads(monkeypatch)
+        with pytest.raises(SpectrumOutOfRangeError):
+            classify_under4(IntMatrix.from_rows([[1, 1], [1, 1]]))
+        assert calls == {"key": 1, "connected": 1}
+
 
 class TestSpectrumFilter:
     def test_agrees_with_numpy(self):
