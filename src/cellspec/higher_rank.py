@@ -5,15 +5,15 @@ each generator and a symmetric matrix M of size sum(n_i) with diagonal slot
 blocks 2I.  The block between slots i and j must vanish when the generators
 commute, and on an edge of order m the block B must satisfy f_m(B B^T) = 0,
 exactly as in the rank-2 (dihedral) analysis.  Transitivity forces M to be
-irreducible.  Edge blocks are direct sums of atoms (see _edge_blocks).
+irreducible.  Edge blocks are direct sums of atoms (see _edge_block).
 
 assembly_search grows the size vectors of a tree-shaped diagram along its
 edges, giving each slot only the sizes the bond to its parent admits, and
-for each edge builds one block per class modulo permutations of its far slot
-directly from how the atoms split the near slot's rows; it builds a matrix
-only where the blocks' nonzero entries connect every index, and returns
-the candidates up to simultaneous within-slot permutation.  Every candidate,
-searched or stored, comes from the one slot-block builder
+places one block on each edge, since within-slot permutations carry every
+wiring onto it in a diagram with at most one bond of order 4 or 5; it
+builds a matrix only where the blocks' nonzero entries connect every index,
+and returns the candidates up to simultaneous within-slot permutation.
+Every candidate, searched or stored, comes from the one slot-block builder
 intmat._block_matrix (2I on the diagonal slot blocks, one block per edge,
 mirrored); the reference candidates are stored as slot sizes plus one block
 per bond of the path 1 - 2 - ... - n, or read off the Coxeter graph in the
@@ -25,7 +25,6 @@ characteristic polynomial and the one Sturm root locator.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 
 from ._value import Value
@@ -235,37 +234,21 @@ def assembly_violations(
 
 
 def _sizes_feasible(order: int, a: int, b: int) -> bool:
-    if order == 3:
-        return a == b
-    if order == 5:
-        return a == b and a % 2 == 0
     if order == 4:
         return (2 * a - b) % 3 == 0 and 2 * a >= b and 2 * b >= a
-    return False
+    return a == b and (order == 3 or a % 2 == 0)
 
 
-def _pairings(items: tuple[int, ...]):
-    """All partitions of items into unordered pairs."""
-    if not items:
-        yield ()
-        return
-    first = items[0]
-    for idx in range(1, len(items)):
-        rest = items[1:idx] + items[idx + 1 :]
-        for tail in _pairings(rest):
-            yield ((first, items[idx]),) + tail
+def _edge_block(order: int, n_rows: int, n_cols: int) -> IntMatrix:
+    """The one edge block the search places on an edge of the given order:
+    a direct sum of atoms on disjoint rows and columns.  Order 3 gives I;
+    order 4 gives rows 2t and 2t + 1 a shared column t for t < p =
+    (2 n_rows - n_cols) / 3 and each later row two columns of its own;
+    order 5 gives rows 2t and 2t + 1 the atom [[1, 1], [1, 0]].  Sizes must
+    already pass _sizes_feasible.
 
-
-def _edge_blocks(order: int, n_rows: int, n_cols: int):
-    """One edge block per class modulo permutations of the column slot,
-    yielded in a fixed order.
-
-    Each block is a direct sum of atoms on disjoint rows and columns, so a
-    class is fixed by how the atoms split the rows: for order 3 the identity
-    is the only class; for order 4 it is which rows are paired into a shared
-    column, and how; for order 5 it is how the rows are paired and which row
-    of each pair carries two ones.  The first block is the one the first
-    edge of a search uses.  Sizes must already pass _sizes_feasible.
+    Every wiring of the same sizes is this block up to row and column
+    permutations: the atoms' sizes fix how many of each there are.
 
     Atom lemma, so assembly_search does not test it: f_order(B B^T) = 0, as
     the Gram of a direct sum of atoms is block-diagonal; B B^T = I for order
@@ -274,28 +257,17 @@ def _edge_blocks(order: int, n_rows: int, n_cols: int):
     determinant 1 (f_5 = x^2 - 3x + 1).  Atoms transpose to atoms: B^T B too.
     """
     if order == 3:
-        yield IntMatrix.identity(n_rows)
-    elif order == 4:
-        p = (2 * n_rows - n_cols) // 3
-        for paired in itertools.combinations(range(n_rows), 2 * p):
-            singles = [x for x in range(n_rows) if x not in paired]
-            for pairs in _pairings(paired):
-                rows = [[0] * n_cols for _ in range(n_rows)]
-                for t, (a, b) in enumerate(pairs):
-                    rows[a][t] = rows[b][t] = 1
-                for u, x in enumerate(singles):
-                    rows[x][p + 2 * u] = rows[x][p + 2 * u + 1] = 1
-                yield IntMatrix.from_rows(rows)
-    elif order == 5:
-        for pairs in _pairings(tuple(range(n_rows))):
-            for heavy in itertools.product((0, 1), repeat=len(pairs)):
-                rows = [[0] * n_cols for _ in range(n_rows)]
-                for t, (pair, h) in enumerate(zip(pairs, heavy)):
-                    a, b = pair[h], pair[1 - h]
-                    rows[a][2 * t] = rows[a][2 * t + 1] = rows[b][2 * t] = 1
-                yield IntMatrix.from_rows(rows)
-    else:
-        raise ValueError("edges carry orders 3, 4 or 5")
+        return IntMatrix.identity(n_rows)
+    rows = [[0] * n_cols for _ in range(n_rows)]
+    p = (2 * n_rows - n_cols) // 3
+    for x, row in enumerate(rows):
+        if order == 5:
+            cols = (x, x + 1) if x % 2 == 0 else (x - 1,)
+        else:
+            cols = (x // 2,) if x < 2 * p else (2 * x - 3 * p, 2 * x - 3 * p + 1)
+        for c in cols:
+            row[c] = 1
+    return IntMatrix.from_rows(rows)
 
 
 def conjugation_canonical(m: IntMatrix, sizes) -> IntMatrix:
@@ -338,11 +310,16 @@ def assembly_search(
     """All candidates for the system with total size at most max_total, up
     to simultaneous within-slot permutations, sorted by (sizes, entries).
 
-    The diagram must be connected, tree-shaped, and carry bond orders in
-    {2, 3, 4, 5} off the diagonal; every finite system handled by this
-    package is of that shape.  Only size vectors that pass _sizes_feasible
-    on every edge are built, each far slot taking what its bond admits; a block
-    combination becomes a matrix only if its nonzero entries connect every index.
+    The diagram must be a tree with bond orders 2 and 3 off the diagonal
+    and at most one bond of order 4 or 5, as every finite type with bonds up
+    to 5 is (Coxeter 1935); any other diagram raises ValueError.  Only size
+    vectors that pass _sizes_feasible on every edge are built, each far slot
+    taking what its bond admits.  Each edge gets the one block _edge_block:
+    its far slot is new, so permuting it turns any order-3 wiring into I, and
+    the permutations that keep the earlier identity blocks act as the whole
+    of S_a x S_b on the one order-4 or 5 edge, where the wirings of given
+    sizes form one orbit.  The blocks become a matrix only if their nonzero
+    entries connect every index.
     """
     r = system.rank
     if r < 2:
@@ -370,6 +347,11 @@ def assembly_search(
     for far in visit[1:]:
         near = min(adjacency[far], key=visit.index)
         oriented.append((near, far, system.m(near, far)))
+    if sum(order > 3 for _, _, order in oriented) > 1:
+        raise ValueError(
+            "diagram has more than one bond of order 4 or 5, so it is not "
+            "of finite type"
+        )
 
     # each far slot leaves size 1 for every slot still empty
     vectors = [(s,) + (0,) * (r - 1) for s in range(1, max_total - r + 2)]
@@ -380,27 +362,19 @@ def assembly_search(
             for s in range(1, max_total - sum(v) - (r - k - 2) + 1)
             if _sizes_feasible(order, v[near - 1], s)
         ]
-    found, blocks = set(), {}
+    found = []
     for sizes in vectors:
-        keys = [(order, sizes[a - 1], sizes[b - 1]) for a, b, order in oriented]
-        for key in keys[1:]:
-            if key not in blocks:
-                blocks[key] = list(_edge_blocks(*key))
-        # The first edge's two slots carry no earlier constraints, so one
-        # representative block covers its whole orbit.
-        per_edge = [[next(_edge_blocks(*keys[0]))]] + [blocks[k] for k in keys[1:]]
+        bonds = [(near, far, _edge_block(order, sizes[near - 1], sizes[far - 1]).rows)
+                 for near, far, order in oriented]
         total = sum(sizes)
         slots = slot_ranges(sizes, total)
-        for combo in itertools.product(*per_edge):
-            bonds = [(near, far, block.rows)
-                     for (near, far, _), block in zip(oriented, combo)]
-            # 2I plus non-negative blocks is irreducible iff their entries connect
-            if is_connected(total, [
-                (x, y) for near, far, rows in bonds
-                for x, row in zip(slots[near - 1], rows)
-                for y, v in zip(slots[far - 1], row) if v
-            ]):
-                m = _block_matrix(sizes, bonds)
-                found.add((sizes, conjugation_canonical(m, sizes).rows))
+        # 2I plus non-negative blocks is irreducible iff their entries connect
+        if is_connected(total, [
+            (x, y) for near, far, rows in bonds
+            for x, row in zip(slots[near - 1], rows)
+            for y, v in zip(slots[far - 1], row) if v
+        ]):
+            m = _block_matrix(sizes, bonds)
+            found.append((sizes, conjugation_canonical(m, sizes).rows))
     return [AssemblyCandidate(system.name, sizes, IntMatrix(rows))
             for sizes, rows in sorted(found)]

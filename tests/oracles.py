@@ -7,10 +7,11 @@ determinant, and the equivalence test for 0-1 matrices tries every row and
 column permutation; the class matcher that the Dynkin lookup replaced
 compares least arrangements over every column order.  The
 enumerate-then-filter references keep the slow paths that direct
-constructions replaced: J by the braid-orbit filter, edge blocks by every
-raw wiring deduplicated over all column orders, the conjugation canonical
-form of higher-rank candidates by every product of within-slot
-permutations, and cells by Tarjan's strongly connected components.  The
+constructions replaced: J by the braid-orbit filter, the higher-rank
+assembly search by every product of raw edge wirings on every size vector,
+the conjugation canonical form of its candidates by every product of
+within-slot permutations, and cells by Tarjan's strongly connected
+components.  The
 law check of based algebras and modules is redone pair by pair in Python
 ints, and the dihedral structure constants by the dense word ladder that
 the product rule replaced.  The polynomial
@@ -25,8 +26,9 @@ from itertools import combinations, permutations, product
 import numpy as np
 
 from cellspec.coxeter import is_reduced, tits_orbit
+from cellspec.dihedral import annihilation_test
 from cellspec.fibpoly import IntPolynomial, _primitive_rem, squarefree_part
-from cellspec.intmat import IntMatrix, slot_ranges
+from cellspec.intmat import IntMatrix, is_irreducible_nonneg, slot_ranges
 from cellspec.staircase import generators_for_shape
 
 
@@ -424,15 +426,17 @@ def edge_wirings(order: int, n_rows: int, n_cols: int):
     """Every raw wiring of one edge of the given bond order, as row tuples:
     each way to place the atoms of the order (a permutation block for 3,
     [[1], [1]] and [[1, 1]] for 4, 2x2 blocks with one zero for 5) on
-    disjoint rows and columns."""
+    disjoint rows and columns, covering every row.  Any sizes are accepted:
+    for orders 3 and 5 a wiring may leave columns empty (annihilation_test
+    refuses it), and order 4 fills the columns or gives no wiring."""
     wirings = []
     if order == 3:
-        for perm in permutations(range(n_cols)):
+        for perm in permutations(range(n_cols), n_rows):
             wirings.append({(i, perm[i]) for i in range(n_rows)})
     elif order == 5:
         for row_pairs in _pairings(tuple(range(n_rows))):
             for col_pairs in _pairings(tuple(range(n_cols))):
-                for assignment in permutations(range(len(col_pairs))):
+                for assignment in permutations(range(len(col_pairs)), len(row_pairs)):
                     matched = [
                         (row_pairs[t], col_pairs[assignment[t]])
                         for t in range(len(row_pairs))
@@ -445,26 +449,29 @@ def edge_wirings(order: int, n_rows: int, n_cols: int):
                             cells.update(square)
                         wirings.append(cells)
     elif order == 4:
-        p = (2 * n_rows - n_cols) // 3
-        q = (2 * n_cols - n_rows) // 3
-        for paired_rows in combinations(range(n_rows), 2 * p):
-            single_rows = [x for x in range(n_rows) if x not in paired_rows]
-            for row_pairs in _pairings(paired_rows):
-                for single_cols in combinations(range(n_cols), p):
-                    paired_cols = tuple(
-                        x for x in range(n_cols) if x not in single_cols
-                    )
-                    for col_pairs in _pairings(paired_cols):
-                        for sigma in permutations(range(p)):
-                            for tau in permutations(range(q)):
-                                cells = set()
-                                for t, (a, b) in enumerate(row_pairs):
-                                    cells.add((a, single_cols[sigma[t]]))
-                                    cells.add((b, single_cols[sigma[t]]))
-                                for t, x in enumerate(single_rows):
-                                    c, d = col_pairs[tau[t]]
-                                    cells.update({(x, c), (x, d)})
-                                wirings.append(cells)
+        # p row pairs share a column each, q single rows take two each
+        for p in range(n_rows // 2 + 1):
+            q = n_rows - 2 * p
+            if p + 2 * q != n_cols:
+                continue
+            for paired_rows in combinations(range(n_rows), 2 * p):
+                single_rows = [x for x in range(n_rows) if x not in paired_rows]
+                for row_pairs in _pairings(paired_rows):
+                    for single_cols in combinations(range(n_cols), p):
+                        paired_cols = tuple(
+                            x for x in range(n_cols) if x not in single_cols
+                        )
+                        for col_pairs in _pairings(paired_cols):
+                            for sigma in permutations(range(p)):
+                                for tau in permutations(range(q)):
+                                    cells = set()
+                                    for t, (a, b) in enumerate(row_pairs):
+                                        cells.add((a, single_cols[sigma[t]]))
+                                        cells.add((b, single_cols[sigma[t]]))
+                                    for t, x in enumerate(single_rows):
+                                        c, d = col_pairs[tau[t]]
+                                        cells.update({(x, c), (x, d)})
+                                    wirings.append(cells)
     else:
         raise ValueError("edges carry orders 3, 4 or 5")
     return [
@@ -476,13 +483,40 @@ def edge_wirings(order: int, n_rows: int, n_cols: int):
     ]
 
 
-def min_under_col_perms(rows):
-    """The class key of a block modulo column permutations: its least
-    arrangement over every column order."""
-    return min(
-        tuple(tuple(row[j] for j in perm) for row in rows)
-        for perm in permutations(range(len(rows[0])))
-    )
+def assembly_search_by_every_wiring(system, max_total):
+    """Reference for higher_rank.assembly_search, as sorted (sizes, rows)
+    pairs: on every composition of every total up to max_total, every
+    product of the raw wirings of the edges (orders 3 to 5) that pass
+    annihilation_test, with 2I on the diagonal slots and zero elsewhere; the
+    irreducible matrices, deduplicated by
+    conjugation_canonical_by_permutations."""
+    r = system.rank
+    edges = [(i, j, system.m(i + 1, j + 1)) for i in range(r)
+             for j in range(i + 1, r) if system.m(i + 1, j + 1) > 2]
+    passing, found = {}, set()
+    for sizes in product(range(1, max_total + 1), repeat=r):
+        if sum(sizes) > max_total:
+            continue
+        per_edge = []
+        for i, j, order in edges:
+            key = (order, sizes[i], sizes[j])
+            if key not in passing:
+                passing[key] = [rows for rows in edge_wirings(*key)
+                                if annihilation_test(IntMatrix(rows), order)]
+            per_edge.append(passing[key])
+        n, starts = sum(sizes), [sum(sizes[:i]) for i in range(r)]
+        for blocks in product(*per_edge):
+            m = [[2 * (x == y) for y in range(n)] for x in range(n)]
+            for (i, j, _), rows in zip(edges, blocks):
+                for x, row in enumerate(rows):
+                    for y, v in enumerate(row):
+                        m[starts[i] + x][starts[j] + y] = v
+                        m[starts[j] + y][starts[i] + x] = v
+            m = IntMatrix(tuple(map(tuple, m)))
+            if is_irreducible_nonneg(m):
+                canonical = conjugation_canonical_by_permutations(m, sizes)
+                found.add((sizes, canonical.rows))
+    return sorted(found)
 
 
 def conjugation_canonical_by_permutations(m, sizes):

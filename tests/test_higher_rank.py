@@ -1,6 +1,9 @@
 import doctest
+import functools
 import math
 import random
+import re
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,7 @@ from cellspec.coxeter import CoxeterSystem
 from cellspec.dihedral import annihilation_test
 from cellspec.fibpoly import IntPolynomial
 from cellspec.higher_rank import (
-    _edge_blocks,
+    _edge_block,
     _sizes_feasible,
     assembly_search,
     assembly_violations,
@@ -29,11 +32,12 @@ from cellspec.intmat import (
     is_irreducible_nonneg,
     slot_ranges,
 )
+from cellspec.staircase import canonical_form
 from frozen import REFERENCE_ASSEMBLIES
 from oracles import (
+    assembly_search_by_every_wiring,
     conjugation_canonical_by_permutations,
     edge_wirings,
-    min_under_col_perms,
 )
 
 FEASIBLE_EDGES = [
@@ -51,6 +55,20 @@ SEARCH_EDGES = [
 ]
 LEMMA_EDGES = sorted(set(FEASIBLE_EDGES) | set(SEARCH_EDGES))
 REFERENCE_NAMES = ["B3", "H3", "F4", "B4", "H4"]
+# hand-built trees with one bond of order 4 or 5, on the first, a middle or
+# the last edge of the breadth-first order from generator 1, or at a branch
+# vertex, each at a bound the every-wiring reference reaches within a second
+ONE_HEAVY_BOND_TREES = [
+    (3, {(1, 3): 4, (2, 3): 3}, 12),  # first edge, labels off the path order
+    (3, {(1, 2): 5, (2, 3): 3}, 11),  # first edge
+    (4, {(1, 2): 3, (2, 3): 5, (3, 4): 3}, 10),  # middle edge
+    (5, {(1, 2): 3, (2, 3): 3, (3, 4): 4, (4, 5): 3}, 10),  # middle edge
+    (3, {(1, 2): 3, (2, 3): 4}, 12),  # last edge
+    (4, {(1, 2): 4, (2, 3): 3, (2, 4): 3}, 10),  # first edge, into the branch
+    (4, {(1, 2): 3, (2, 3): 3, (2, 4): 4}, 10),  # last edge, out of the branch
+    (5, {(1, 2): 3, (2, 3): 3, (2, 4): 5, (2, 5): 3}, 10),  # middle, at the branch
+]
+TWO_HEAVY = "diagram has more than one bond of order 4 or 5, so it is not of finite type"
 
 
 def test_doctests():
@@ -244,57 +262,86 @@ class TestSearch:
             for cand in assembly_search(system, max_total=16):
                 assert not assembly_violations(system, cand.sizes, cand.matrix)
 
+    @pytest.mark.parametrize("rank, edges, max_total", ONE_HEAVY_BOND_TREES)
+    def test_matches_every_wiring_on_trees_with_one_heavy_bond(
+        self, rank, edges, max_total
+    ):
+        system = CoxeterSystem._from_edges("T", rank, edges)
+        found = assembly_search(system, max_total=max_total)
+        assert [(c.sizes, c.matrix.rows) for c in found] == (
+            assembly_search_by_every_wiring(system, max_total)
+        )
+
+    @pytest.mark.parametrize("rank, edges", [
+        (3, {(1, 2): 4, (2, 3): 4}),
+        (3, {(1, 2): 5, (2, 3): 4}),
+        (4, {(1, 2): 4, (2, 3): 3, (3, 4): 5}),
+        (4, {(1, 2): 3, (2, 3): 5, (2, 4): 5}),
+    ])
+    def test_two_bonds_of_order_4_or_5_raise(self, rank, edges):
+        system = CoxeterSystem._from_edges("T", rank, edges)
+        with pytest.raises(ValueError, match=f"^{re.escape(TWO_HEAVY)}$"):
+            assembly_search(system, max_total=12)
+
+    def test_the_tree_check_comes_first(self):
+        system = CoxeterSystem._from_edges("T", 3, {(1, 2): 4, (2, 3): 4, (1, 3): 3})
+        with pytest.raises(ValueError, match="^diagram must be a tree$"):
+            assembly_search(system)
+
 
 class TestEdgeBlocks:
     @pytest.mark.parametrize("order, n_rows, n_cols", FEASIBLE_EDGES)
     def test_one_block_per_class_of_raw_wirings(self, order, n_rows, n_cols):
-        keys = [
-            min_under_col_perms(b.rows) for b in _edge_blocks(order, n_rows, n_cols)
-        ]
-        assert len(set(keys)) == len(keys)
-        raw = edge_wirings(order, n_rows, n_cols)
-        assert set(keys) == {min_under_col_perms(rows) for rows in raw}
+        # the raw wirings are one class under row and column permutations,
+        # so the search places one block on each edge
+        forms = {
+            canonical_form(IntMatrix(rows))
+            for rows in edge_wirings(order, n_rows, n_cols)
+        }
+        assert forms == {canonical_form(_edge_block(order, n_rows, n_cols))}
 
     @pytest.mark.parametrize("order, n_rows, n_cols", LEMMA_EDGES)
     def test_atom_lemma(self, order, n_rows, n_cols):
         # assembly_search relies on this instead of testing each block
-        for block in _edge_blocks(order, n_rows, n_cols):
-            assert annihilation_test(block, order)
+        assert annihilation_test(_edge_block(order, n_rows, n_cols), order)
 
     def test_lemma_covers_the_reference_searches(self, monkeypatch):
         met = set()
-        real = higher_rank_module._edge_blocks
+        real = higher_rank_module._edge_block
 
         def spy(order, n_rows, n_cols):
             met.add((order, n_rows, n_cols))
             return real(order, n_rows, n_cols)
 
-        monkeypatch.setattr(higher_rank_module, "_edge_blocks", spy)
+        monkeypatch.setattr(higher_rank_module, "_edge_block", spy)
         for name in REFERENCE_NAMES:
             assembly_search(CoxeterSystem.from_name(name), max_total=16)
         assert met == set(SEARCH_EDGES)
 
-    def test_search_builds_one_first_block_and_each_later_edge_once(self, monkeypatch):
-        real = higher_rank_module._edge_blocks
+    def test_search_builds_one_block_per_edge_of_each_size_vector(self, monkeypatch):
+        real = higher_rank_module._edge_block
         built = 0
+
+        def spy(*key):
+            nonlocal built
+            built += 1
+            return real(*key)
+
+        monkeypatch.setattr(higher_rank_module, "_edge_block", spy)
+        expected = 0
         for name in REFERENCE_NAMES:
-            records = []
-
-            def spy(*key):
-                record = [key, 0]
-                records.append(record)
-                for block in real(*key):
-                    record[1] += 1
-                    yield block
-
-            monkeypatch.setattr(higher_rank_module, "_edge_blocks", spy)
-            assembly_search(CoxeterSystem.from_name(name), max_total=16)
-            for key, pulled in records:
-                assert pulled in (1, len(list(real(*key))))
-            listed = [key for key, pulled in records if pulled > 1]
-            assert len(listed) == len(set(listed))
-            built += sum(pulled for _, pulled in records)
-        assert built == 52  # 250 when every edge built all its blocks
+            system = CoxeterSystem.from_name(name)
+            assembly_search(system, max_total=16)
+            edges = [(i, i + 1, system.m(i, i + 1)) for i in range(1, system.rank)]
+            vectors = [
+                sizes for sizes in product(range(1, 17), repeat=system.rank)
+                if sum(sizes) <= 16 and all(
+                    _sizes_feasible(order, sizes[i - 1], sizes[j - 1])
+                    for i, j, order in edges
+                )
+            ]
+            expected += len(edges) * len(vectors)
+        assert built == expected == 63
 
 
 def entries_connected(sizes, bonds):
@@ -308,6 +355,9 @@ def entries_connected(sizes, bonds):
         for x, row in zip(slots[near - 1], rows)
         for y, v in zip(slots[far - 1], row) if v
     ])
+
+
+cached_wirings = functools.cache(edge_wirings)
 
 
 class TestBlockConnectivity:
@@ -335,8 +385,8 @@ class TestBlockConnectivity:
             if not admitted:
                 order, admitted = 3, [sizes[-1]]
             sizes.append(data.draw(st.sampled_from(admitted)))
-            block = data.draw(st.sampled_from(list(_edge_blocks(order, *sizes[-2:]))))
-            bonds.append((k, k + 1, block.rows))
+            block = data.draw(st.sampled_from(cached_wirings(order, *sizes[-2:])))
+            bonds.append((k, k + 1, block))
         assert entries_connected(sizes, bonds) == is_irreducible_nonneg(
             _block_matrix(sizes, bonds)
         )
