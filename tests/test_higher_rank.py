@@ -332,6 +332,8 @@ class TestEdgeBlocks:
         for name in REFERENCE_NAMES:
             system = CoxeterSystem.from_name(name)
             assembly_search(system, max_total=16)
+            # each type is the path 1 - 2 - ... - n; every size vector that
+            # passes _sizes_feasible on all its edges takes one block per edge
             edges = [(i, i + 1, system.m(i, i + 1)) for i in range(1, system.rank)]
             vectors = [
                 sizes for sizes in product(range(1, 17), repeat=system.rank)
