@@ -9,7 +9,8 @@ The set J of elements admitting exactly one reduced expression is enumerated
 by extending words on the right; this is complete because every prefix of a
 unique-reduced-expression element again has a unique reduced expression, and
 each step is decided by a one-step rule that the rewriting theorem implies
-(see _extends_J), without building braid orbits.  Left and right cells of J
+(see enumerate_J), without building braid orbits: a word grows only by the
+diagram neighbours of its last letter.  Left and right cells of J
 are read off the last and first letters, and the cell table collects the
 intersections into boxes.
 """
@@ -187,52 +188,49 @@ def has_unique_reduced_expression(system: CoxeterSystem, word: Word) -> bool:
     return len(orbit) == 1
 
 
-def _extends_J(system: CoxeterSystem, word: Word, g: int) -> bool:
-    """Whether word + (g,) lies in J, given that word lies in J (or is empty).
-
-    Let s be the last letter of word.  A braid move on word + (g,) that
-    stayed inside word would give word a second reduced expression, so every
-    braid move must use the new letter, and its segment alternates s and g.
-    Such a move exists exactly when the alternating s, g suffix ending in g
-    has length at least m(s, g).  Without one, the braid orbit of
-    word + (g,) is the word alone; for g != s that word has no repeated
-    adjacent letter, so by the word theorem it is reduced and is its
-    element's only reduced expression.  Hence word + (g,) lies in J exactly
-    when g != s and that suffix is shorter than m(s, g).
-    """
-    if not word:
-        return True
-    s = word[-1]
-    if g == s:
-        return False
-    run = 1  # length of the alternating s, g suffix of word, ending in s
-    while run < len(word) and word[-run - 1] == (g if run % 2 else s):
-        run += 1
-    return run + 1 < system.m(s, g)
-
-
 def enumerate_J(system: CoxeterSystem, max_length: int | None = None) -> list[Word]:
     """All elements with a unique reduced expression, as their single reduced
     words, sorted by (length, lexicographic order).
 
     Breadth-first on the right: the empty word is excluded (following the
-    convention that J consists of non-identity elements), and a word of length
-    L+1 is kept when its last letter passes the one-step rule of _extends_J.
+    convention that J consists of non-identity elements), and a word of J
+    ending in s grows by a letter g only along an edge of the Coxeter graph.
     Prefixes of unique-expression words again have unique expressions, so the
     search tree contains all of J.  For finite types the search terminates on
     its own; max_length adds an explicit cap (needed for infinite types).
+
+    The rule, for a word w of J ending in s: a braid move on w + (g,) that
+    stayed inside w would give w a second reduced expression, so every braid
+    move must use the new letter, and its segment alternates s and g.  Such a
+    move exists exactly when the alternating s, g suffix ending in g has
+    length at least m(s, g).  Without one, the braid orbit of w + (g,) is the
+    word alone; for g != s that word has no repeated adjacent letter, so by
+    the word theorem it is reduced and is its element's only reduced
+    expression.  Hence w + (g,) lies in J exactly when g != s and that suffix
+    is shorter than m(s, g).  The suffix has length at least 2, so g must be
+    a neighbour of s (m(s, g) >= 3).  Each word carries run, the length of
+    its alternating suffix in its last two letters; the s, g suffix of
+    w + (g,) has length run + 1 when g is the letter before s, and 2
+    otherwise.
     """
-    out: list[Word] = []
-    frontier: list[Word] = [()]
-    while frontier and (max_length is None or len(frontier[0]) < max_length):
+    if max_length is not None and max_length <= 0:
+        return []
+    neighbours = {
+        s: [(g, system.m(s, g)) for g in system.generators if system.m(s, g) >= 3]
+        for s in system.generators
+    }
+    frontier = [((g,), 1) for g in system.generators]
+    out = [w for w, _ in frontier]
+    while frontier and (max_length is None or len(frontier[0][0]) < max_length):
         # frontier is sorted, so nxt comes out sorted too
-        nxt = [
-            w + (g,)
-            for w in frontier
-            for g in system.generators
-            if _extends_J(system, w, g)
-        ]
-        out.extend(nxt)
+        nxt = []
+        for w, run in frontier:
+            before = w[-2] if run > 1 else 0  # 0 names no generator
+            for g, m in neighbours[w[-1]]:
+                length = run + 1 if g == before else 2
+                if length < m:
+                    nxt.append((w + (g,), length))
+        out.extend(w for w, _ in nxt)
         frontier = nxt
     return out
 

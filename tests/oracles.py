@@ -483,6 +483,38 @@ def edge_wirings(order: int, n_rows: int, n_cols: int):
     ]
 
 
+def edge_wiring(order: int, row_order, col_order, zeros=()):
+    """One raw wiring of edge_wirings, as row tuples, with its atoms placed
+    along row_order and col_order (permutations of the rows and columns).
+    Order 3 sends row row_order[t] to column col_order[t].  Order 4 lets
+    the t-th of the p = (2 rows - cols) / 3 leading row pairs of row_order
+    share column col_order[t], and gives each later row the next two
+    columns.  Order 5 places its t-th 2x2 atom on the t-th pairs of both
+    orders, without cell zeros[t] (0-3) of the square.  Sizes must pass
+    the search's size test; every wiring of edge_wirings arises this way."""
+    n_rows, n_cols = len(row_order), len(col_order)
+    cells = set()
+    if order == 3:
+        cells.update(zip(row_order, col_order))
+    elif order == 4:
+        p = (2 * n_rows - n_cols) // 3
+        for t in range(p):
+            cells.update({(row_order[2 * t], col_order[t]), (row_order[2 * t + 1], col_order[t])})
+        for t, x in enumerate(row_order[2 * p :]):
+            cells.update({(x, col_order[p + 2 * t]), (x, col_order[p + 2 * t + 1])})
+    elif order == 5:
+        for t in range(n_rows // 2):
+            (a, b), (c, d) = row_order[2 * t : 2 * t + 2], col_order[2 * t : 2 * t + 2]
+            square = [(a, c), (a, d), (b, c), (b, d)]
+            del square[zeros[t]]
+            cells.update(square)
+    else:
+        raise ValueError("edges carry orders 3, 4 or 5")
+    return tuple(
+        tuple(int((i, j) in cells) for j in range(n_cols)) for i in range(n_rows)
+    )
+
+
 def assembly_search_by_every_wiring(system, max_total):
     """Reference for higher_rank.assembly_search, as sorted (sizes, rows)
     pairs: on every composition of every total up to max_total, every

@@ -290,3 +290,25 @@ class TestEnumerateJ:
         assert enumerate_J(system, max_length=max_length) == (
             enumerate_J_by_orbit_filter(system, max_length)
         )
+
+
+class TestSizesAtTheBounds:
+    """|J| in closed form at the largest rank and order from_name accepts.  A
+    simply laced tree has one element per ordered pair of vertices, B_n has
+    2n^2 - 2n + 2 (14 and 26 for B3 and B4, as in the frozen tables, and
+    482 for B16, as the benchmark expects) and I2_m has 2(m - 1)."""
+
+    @pytest.mark.parametrize("name, size", [
+        ("A128", 128**2),
+        ("D128", 128**2),
+        ("B128", 2 * 128**2 - 2 * 128 + 2),
+        ("I2_2000", 2 * 1999),
+    ])
+    def test_size(self, name, size):
+        assert len(enumerate_J(CoxeterSystem.from_name(name))) == size
+
+    def test_b128_is_sorted_and_prefix_closed(self):
+        words = enumerate_J(CoxeterSystem.from_name("B128"))
+        assert words == sorted(words, key=lambda w: (len(w), w))
+        kept = set(words)
+        assert all(len(w) == 1 or w[:-1] in kept for w in words)

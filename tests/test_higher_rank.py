@@ -1,9 +1,8 @@
 import doctest
-import functools
 import math
 import random
 import re
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +36,7 @@ from frozen import REFERENCE_ASSEMBLIES
 from oracles import (
     assembly_search_by_every_wiring,
     conjugation_canonical_by_permutations,
+    edge_wiring,
     edge_wirings,
 )
 
@@ -300,6 +300,17 @@ class TestEdgeBlocks:
         }
         assert forms == {canonical_form(_edge_block(order, n_rows, n_cols))}
 
+    @pytest.mark.parametrize("order, n_rows, n_cols", FEASIBLE_EDGES)
+    def test_every_placement_is_a_raw_wiring_and_back(self, order, n_rows, n_cols):
+        # so drawing a placement can reach every raw wiring, and only those
+        placed = {
+            edge_wiring(order, rows, cols, zeros)
+            for rows in permutations(range(n_rows))
+            for cols in permutations(range(n_cols))
+            for zeros in product(range(4), repeat=n_rows // 2 if order == 5 else 0)
+        }
+        assert placed == set(edge_wirings(order, n_rows, n_cols))
+
     @pytest.mark.parametrize("order, n_rows, n_cols", LEMMA_EDGES)
     def test_atom_lemma(self, order, n_rows, n_cols):
         # assembly_search relies on this instead of testing each block
@@ -359,9 +370,6 @@ def entries_connected(sizes, bonds):
     ])
 
 
-cached_wirings = functools.cache(edge_wirings)
-
-
 class TestBlockConnectivity:
     @settings(derandomize=True, max_examples=300, deadline=None, database=None)
     @given(st.data())
@@ -387,8 +395,13 @@ class TestBlockConnectivity:
             if not admitted:
                 order, admitted = 3, [sizes[-1]]
             sizes.append(data.draw(st.sampled_from(admitted)))
-            block = data.draw(st.sampled_from(cached_wirings(order, *sizes[-2:])))
-            bonds.append((k, k + 1, block))
+            # one raw wiring, drawn by its placement rather than from the list
+            # of all of them (86,400 for an order-5 edge on two slots of 6)
+            a, b = sizes[-2:]
+            rows = data.draw(st.permutations(range(a)))
+            cols = data.draw(st.permutations(range(b)))
+            zeros = data.draw(st.lists(st.integers(0, 3), min_size=a // 2, max_size=a // 2))
+            bonds.append((k, k + 1, edge_wiring(order, rows, cols, zeros)))
         assert entries_connected(sizes, bonds) == is_irreducible_nonneg(
             _block_matrix(sizes, bonds)
         )
