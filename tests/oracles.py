@@ -483,15 +483,16 @@ def edge_wirings(order: int, n_rows: int, n_cols: int):
     ]
 
 
-def edge_wiring(order: int, row_order, col_order, zeros=()):
+def edge_wiring(order: int, row_order, col_order):
     """One raw wiring of edge_wirings, as row tuples, with its atoms placed
     along row_order and col_order (permutations of the rows and columns).
     Order 3 sends row row_order[t] to column col_order[t].  Order 4 lets
     the t-th of the p = (2 rows - cols) / 3 leading row pairs of row_order
     share column col_order[t], and gives each later row the next two
     columns.  Order 5 places its t-th 2x2 atom on the t-th pairs of both
-    orders, without cell zeros[t] (0-3) of the square.  Sizes must pass
-    the search's size test; every wiring of edge_wirings arises this way."""
+    orders, with its zero on the first row and column of those pairs.  Sizes
+    must pass the search's size test; every wiring of edge_wirings arises
+    this way."""
     n_rows, n_cols = len(row_order), len(col_order)
     cells = set()
     if order == 3:
@@ -505,9 +506,7 @@ def edge_wiring(order: int, row_order, col_order, zeros=()):
     elif order == 5:
         for t in range(n_rows // 2):
             (a, b), (c, d) = row_order[2 * t : 2 * t + 2], col_order[2 * t : 2 * t + 2]
-            square = [(a, c), (a, d), (b, c), (b, d)]
-            del square[zeros[t]]
-            cells.update(square)
+            cells.update({(a, d), (b, c), (b, d)})
     else:
         raise ValueError("edges carry orders 3, 4 or 5")
     return tuple(

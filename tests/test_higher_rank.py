@@ -304,10 +304,9 @@ class TestEdgeBlocks:
     def test_every_placement_is_a_raw_wiring_and_back(self, order, n_rows, n_cols):
         # so drawing a placement can reach every raw wiring, and only those
         placed = {
-            edge_wiring(order, rows, cols, zeros)
+            edge_wiring(order, rows, cols)
             for rows in permutations(range(n_rows))
             for cols in permutations(range(n_cols))
-            for zeros in product(range(4), repeat=n_rows // 2 if order == 5 else 0)
         }
         assert placed == set(edge_wirings(order, n_rows, n_cols))
 
@@ -397,11 +396,9 @@ class TestBlockConnectivity:
             sizes.append(data.draw(st.sampled_from(admitted)))
             # one raw wiring, drawn by its placement rather than from the list
             # of all of them (86,400 for an order-5 edge on two slots of 6)
-            a, b = sizes[-2:]
-            rows = data.draw(st.permutations(range(a)))
-            cols = data.draw(st.permutations(range(b)))
-            zeros = data.draw(st.lists(st.integers(0, 3), min_size=a // 2, max_size=a // 2))
-            bonds.append((k, k + 1, edge_wiring(order, rows, cols, zeros)))
+            rows = data.draw(st.permutations(range(sizes[-2])))
+            cols = data.draw(st.permutations(range(sizes[-1])))
+            bonds.append((k, k + 1, edge_wiring(order, rows, cols)))
         assert entries_connected(sizes, bonds) == is_irreducible_nonneg(
             _block_matrix(sizes, bonds)
         )
