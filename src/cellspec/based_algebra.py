@@ -256,7 +256,8 @@ class BasedModule(Value):
         exactly, over the nonzero entries of the actions and constants, on
         the rows of the algebra's generators (see _check_law); these imply
         every row only over an associative algebra, so the algebra must be
-        validated, as BasedAlgebra.make does."""
+        validated (BasedAlgebra.make validates outside input; the tests
+        validate the package's dihedral levels)."""
         n = self.algebra.dimension
         if len(self.actions) != n:
             raise ValueError("one action matrix per basis element required")

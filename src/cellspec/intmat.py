@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import chain
+from operator import add, sub
 
 from ._value import Value
 from .fibpoly import (
@@ -106,18 +107,18 @@ class IntMatrix(Value):
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)) if self.rows else ())
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+    def _entrywise(self, other: "IntMatrix", op) -> "IntMatrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
-        return IntMatrix(
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb))
-                for ra, rb in zip(self.rows, other.rows)
-            )
-        )
+        # from lists: a tuple built from an iterator keeps its spare slots
+        rows = zip(self.rows, other.rows)
+        return IntMatrix(tuple([tuple([*map(op, ra, rb)]) for ra, rb in rows]))
+
+    def __add__(self, other: "IntMatrix") -> "IntMatrix":
+        return self._entrywise(other, add)
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        return self + -1 * other
+        return self._entrywise(other, sub)
 
     def __rmul__(self, scalar: int) -> "IntMatrix":
         if not isinstance(scalar, int):

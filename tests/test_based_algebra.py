@@ -66,6 +66,12 @@ class TestValidation:
         with pytest.raises(ValueError):
             BasedAlgebra.make(["a"], [[[1, 0]]], identity=0)
 
+    @pytest.mark.parametrize("identity", [-1, 2])
+    def test_identity_index_out_of_range_rejected(self, identity):
+        gamma = cyclic_group_algebra(2).gamma
+        with pytest.raises(ValueError, match="^identity index out of range$"):
+            BasedAlgebra.make(["a", "b"], gamma, identity=identity)
+
     def test_non_integer_constant_rejected(self):
         # 1.9 used to be truncated to the valid identity constant 1
         with pytest.raises(TypeError, match="got 1.9"):
@@ -210,6 +216,10 @@ class TestCells:
             assert partition.count == 1
             assert partition.cells[0] == (0, 1, 2, 3)
 
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match="^side must be 'left', 'right' or 'two_sided'$"):
+            cyclic_group_algebra(2).cells("both")
+
     def test_dihedral_level_cells(self):
         for n in (3, 5, 8):
             algebra = based_algebra_of(n)
@@ -322,3 +332,33 @@ class TestModules:
         actions = [IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]])]
         module = BasedModule.make(algebra, actions)
         assert module.annihilated() == ()
+
+    def test_one_action_per_basis_element_required(self):
+        algebra = cyclic_group_algebra(2)
+        with pytest.raises(ValueError, match="^one action matrix per basis element required$"):
+            BasedModule.make(algebra, [IntMatrix.identity(1)])
+
+    def test_action_of_the_wrong_shape_rejected(self):
+        algebra = cyclic_group_algebra(3)
+        actions = [IntMatrix.identity(2), IntMatrix.identity(2), IntMatrix.identity(3)]
+        with pytest.raises(ValueError, match="^the action of g2 is not a 2 x 2 matrix$"):
+            BasedModule.make(algebra, actions)
+
+    def test_apex_needs_a_unique_maximal_cell(self):
+        # e, x, y with x^2 = x, y^2 = y and xy = yx = 0: {x} and {y} are two
+        # maximal cells, and the module x = diag(1, 0), y = diag(0, 1) kills
+        # neither
+        gamma = [
+            [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[0, 1, 0], [0, 1, 0], [0, 0, 0]],
+            [[0, 0, 1], [0, 0, 0], [0, 0, 1]],
+        ]
+        algebra = BasedAlgebra.make(["e", "x", "y"], gamma, identity=0)
+        actions = [
+            IntMatrix.identity(2),
+            IntMatrix.from_rows([[1, 0], [0, 0]]),
+            IntMatrix.from_rows([[0, 0], [0, 1]]),
+        ]
+        module = BasedModule.make(algebra, actions)
+        with pytest.raises(ValueError, match="^no unique maximal non-annihilating cell$"):
+            module.apex()

@@ -1,10 +1,12 @@
 import doctest
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cellspec.dihedral as dihedral_module
+from cellspec.based_algebra import BasedModule
 from cellspec.dihedral import (
     DihedralCandidate,
     DihedralRep,
@@ -173,6 +175,17 @@ class TestRep:
         assert theta_word_matrix(rep.b, 6, 2).is_zero()
         assert not theta_word_matrix(rep.b, 5, 1).is_zero()
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: theta_word_matrix(make_staircase(2, 3), 1, 3), "first generator must be 1 or 2"),
+        (lambda: theta_word_matrix(make_staircase(2, 3), -1, 1), "length must be non-negative"),
+        (lambda: annihilation_test(make_staircase(2, 3), 2), "level must be at least 3"),
+        (lambda: enumerate_B(2), "level must be at least 3"),
+        (lambda: structure_constants(2), "level must be at least 3"),
+    ])
+    def test_arguments_out_of_range_are_refused(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
 
 class TestStructureConstants:
     def test_dimensions_and_labels(self):
@@ -276,3 +289,45 @@ class TestModules:
                 assert sorted(labels[i] for i in apex) == sorted(
                     lab for lab in labels if lab != "e"
                 )
+
+    def test_levels_13_to_30_validate(self):
+        # based_algebra_of and based_module_of skip validate at run time;
+        # test_modules_validate_and_are_transitive covers levels 3 to 12
+        for n in range(13, 31):
+            based_algebra_of(n).validate()
+            for cand in enumerate_B(n):
+                based_module_of(DihedralRep(n, cand.matrix)).validate()
+
+    def test_construction_agrees_with_the_validated_closed_form(self):
+        # based_module_of checks only non-negativity; BasedModule.make checks
+        # the whole module law on the closed-form actions.  On every level
+        # 3-24 that each sampled 0-1 matrix presents, both refuse with the
+        # same message or both give the same actions.
+        rng, seen, outcomes = random.Random(71), set(), {"module": 0, "refused": 0}
+        while len(seen) < 150:
+            r, c = rng.randint(1, 4), rng.randint(1, 4)
+            rows = tuple(tuple(rng.randint(0, 1) for _ in range(c)) for _ in range(r))
+            if rows in seen:
+                continue
+            seen.add(rows)
+            b = IntMatrix(rows)
+            for n in range(3, 25):
+                if not annihilation_test(b, n):
+                    continue
+                algebra = based_algebra_of(n)
+                actions = [IntMatrix.identity(r + c)] + [
+                    theta_word_matrix(b, len(lab), int(lab[0])) for lab in algebra.labels[1:]
+                ]
+                try:
+                    want = BasedModule.make(algebra, actions)
+                except ValueError as error:
+                    with pytest.raises(ValueError) as excinfo:
+                        based_module_of(DihedralRep(n, b))
+                    assert str(excinfo.value) == str(error), (rows, n)
+                    outcomes["refused"] += 1
+                else:
+                    module = based_module_of(DihedralRep(n, b))
+                    assert module == want, (rows, n)
+                    module.validate()
+                    outcomes["module"] += 1
+        assert outcomes == {"module": 23, "refused": 435}

@@ -73,6 +73,14 @@ class TestBasics:
         assert (a - b).rows == ((-4, -4), (-4, -4))
         assert (3 * a).rows == ((3, 6), (9, 12))
 
+    def test_sum_and_difference_refuse_a_shape_mismatch(self):
+        a = IntMatrix.from_rows([[1, 2], [3, 4]])
+        for b in (IntMatrix.from_rows([[1, 2]]), IntMatrix.from_rows([[1], [2]])):
+            with pytest.raises(ValueError, match="^shape mismatch$"):
+                a + b
+            with pytest.raises(ValueError, match="^shape mismatch$"):
+                a - b
+
     def test_trace_symmetry(self):
         m = IntMatrix.from_rows([[2, 1], [1, 2]])
         assert m.trace() == 4
