@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import sys
-import threading
 from pathlib import Path
 
 import pytest
@@ -64,13 +63,11 @@ def collect(args: list[str]) -> tuple[int, dict[str, set[int]]]:
 
         return local
 
-    threading.settrace(trace)
     sys.settrace(trace)
     try:
         status = pytest.main(args)
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     return int(status), hit
 
 
