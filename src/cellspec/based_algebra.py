@@ -78,8 +78,8 @@ class BasedAlgebra(Value):
     @cached_property
     def nonzeros(self) -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
         """nonzeros[i][j]: the pairs (k, gamma[i][j][k]) with a nonzero
-        constant, in increasing k; the one sparse view of gamma that
-        validation and the cell steps read."""
+        constant, in increasing k; the one sparse view of gamma, which
+        validation and generators read."""
         return tuple(
             tuple(tuple((k, c) for k, c in enumerate(row) if c) for row in plane)
             for plane in self.gamma
@@ -173,41 +173,39 @@ class BasedAlgebra(Value):
 
     def _one_step(self, side: str) -> list[set[int]]:
         """succ[j] = basis elements reachable from j in one multiplication
-        step on the given side."""
-        nonzeros = self.nonzeros
-        succ: list[set[int]] = [set() for _ in nonzeros]
-        if side != "right":  # a_k in a_i a_j lies above a_j
+        step on the given side, read off the column supports of gamma."""
+        gamma = self.gamma
+
+        def support(rows) -> set[int]:
+            return {k for k, hit in enumerate(map(any, zip(*rows))) if hit}
+
+        if side == "left":  # a_k in a_i a_j lies above a_j
+            return [support(plane[j] for plane in gamma) for j in range(len(gamma))]
+        succ = [support(plane) for plane in gamma]  # and above a_i
+        if side == "two_sided":
             for j, step in enumerate(succ):
-                step.update(k for plane in nonzeros for k, _ in plane[j])
-        if side != "left":  # and above a_i
-            for step, plane in zip(succ, nonzeros):
-                step.update(k for row in plane for k, _ in row)
+                step |= support(plane[j] for plane in gamma)
         return succ
 
     def cells(self, side: str) -> "CellPartition":
         """The cell partition on the given side: "left", "right" or
-        "two_sided"."""
+        "two_sided".  Each element not yet placed starts a cell: what both
+        its forward walk and its backward walk (over predecessors) reach.
+        The forward reach of each cell's first element gives the order."""
         if side not in ("left", "right", "two_sided"):
             raise ValueError("side must be 'left', 'right' or 'two_sided'")
-        n = self.dimension
         succ = self._one_step(side)
-        reach = [set(reachable(succ, j)) for j in range(n)]
-        assigned = [None] * n
+        pred = [[j for j, step in enumerate(succ) if k in step] for k in range(len(succ))]
+        assigned = [None] * len(succ)
         cells: list[tuple[int, ...]] = []
-        for j in range(n):
-            if assigned[j] is not None:
-                continue
-            members = tuple(
-                sorted(k for k in range(n) if k in reach[j] and j in reach[k])
-            )
-            idx = len(cells)
-            cells.append(members)
-            for k in members:
-                assigned[k] = idx
-        leq = tuple(
-            tuple(cells[b][0] in reach[cells[a][0]] for b in range(len(cells)))
-            for a in range(len(cells))
-        )
+        above: list[set[int]] = []  # the forward reach of each cell
+        for j, placed in enumerate(assigned):
+            if placed is None:
+                above.append(set(reachable(succ, j)))
+                cells.append(tuple(sorted(above[-1].intersection(reachable(pred, j)))))
+                for k in cells[-1]:
+                    assigned[k] = len(cells) - 1
+        leq = tuple(tuple(cell[0] in reach for cell in cells) for reach in above)
         return CellPartition(side, tuple(cells), tuple(assigned), leq)
 
 

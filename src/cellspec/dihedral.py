@@ -26,7 +26,7 @@ candidates at levels 12, 18 and 30 whose origin is left hypothetical.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import sub
 
 from ._value import Value
@@ -38,11 +38,32 @@ from .staircase import classes_of_type
 
 def theta_generator_matrices(b: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     """The block matrices of the two generators acting on Z^(rows+cols)."""
-    r, c = b.n_rows, b.n_cols
-    # the first r and the last c rows of [[2I, B], [B^T, 2I]]
-    rows = _block_matrix((r, c), [(1, 2, b.rows)]).rows
+    return tuple(_word_ladder(b, 1).values())
+
+
+def _word_ladder(b: IntMatrix, top: int) -> dict:
+    """The matrices L(g, l) of the alternating words starting with generator
+    g = 1, 2 of lengths l = 1..top, keyed by (g, l).  For b of shape r x c,
+    L(1, l) is zero below its first r rows, T_l, and L(2, l) above its last
+    c rows, S_l; the ladder L(g, l) = L(g, 1) L(3-g, l-1) - L(g, l-2) runs on
+    them: T_1 = [2I B], S_1 = [B^T 2I], T_l = B S_(l-1) - T_(l-2) and
+    S_l = B^T T_(l-1) - S_(l-2), with nothing subtracted at l = 2.
+
+    >>> words = _word_ladder(IntMatrix(((1,),)), 3)
+    >>> words[(1, 2)].rows, words[(2, 2)].rows, words[(1, 3)].rows
+    (((1, 2), (0, 0)), ((0, 0), (2, 1)), ((0, 0), (0, 0)))
+    """
+    r, c = b.shape
+    rows = _block_matrix((r, c), [(1, 2, b.rows)]).rows  # [[2I, B], [B^T, 2I]]
+    halves = {(1, 1): IntMatrix(rows[:r]), (2, 1): IntMatrix(rows[r:])}
+    factors = {1: b, 2: b.transpose()}
+    for length in range(2, top + 1):
+        for g in (1, 2):
+            half = factors[g] @ halves[(3 - g, length - 1)]
+            halves[(g, length)] = half - halves[(g, length - 2)] if length > 2 else half
     zero = ((0,) * (r + c),)
-    return IntMatrix(rows[:r] + zero * c), IntMatrix(zero * r + rows[r:])
+    return {key: IntMatrix(half.rows + zero * c if key[0] == 1 else zero * r + half.rows)
+            for key, half in halves.items()}
 
 
 def theta_word_matrix(b: IntMatrix, length: int, first: int) -> IntMatrix:
@@ -123,14 +144,22 @@ def _level_of_minpolys(p: IntPolynomial, q: IntPolynomial, bound: int = 120) -> 
 
 
 class DihedralRep(Value):
-    """A matrix presenting the level-n quotient; validated on construction."""
+    """A matrix presenting the level-n quotient: its word ladder to length n
+    (words) must end in zero words, which by the closed form (module
+    docstring) is exactly annihilation_test(b, n)."""
 
     n: int
     b: IntMatrix
 
     def __post_init__(self):
-        if not annihilation_test(self.b, self.n):
+        if self.n < 3:
+            raise ValueError("level must be at least 3")
+        if not (self.words[(1, self.n)].is_zero() and self.words[(2, self.n)].is_zero()):
             raise ValueError("matrix does not present this level")
+
+    @cached_property
+    def words(self) -> dict:
+        return _word_ladder(self.b, self.n)
 
     @property
     def dimension(self) -> int:
@@ -202,26 +231,6 @@ def _basis_labels(n: int) -> list[str]:
     return ["e"] + [_word(first, length) for length in range(1, n) for first in (1, 2)]
 
 
-def _word_ladder(gen_1: IntMatrix, gen_2: IntMatrix, top: int) -> dict:
-    """The matrices L(g, length) of the alternating words starting with
-    generator g = 1, 2 of lengths 1..top, keyed by (g, length), from
-    L(1, 1) = gen_1 and L(2, 1) = gen_2 by the ladder
-    L(g, length) = L(g, 1) L(3-g, length-1) - L(g, length-2), with nothing
-    subtracted at length 2.
-
-    >>> gen_1, gen_2 = IntMatrix(((2, 1), (0, 0))), IntMatrix(((0, 0), (1, 2)))
-    >>> words = _word_ladder(gen_1, gen_2, 3)
-    >>> words[(1, 2)].rows, words[(1, 3)].rows
-    (((1, 2), (0, 0)), ((0, 0), (0, 0)))
-    """
-    words = {(1, 1): gen_1, (2, 1): gen_2}
-    for length in range(2, top + 1):
-        for g in (1, 2):
-            word = words[(g, 1)] @ words[(3 - g, length - 1)]
-            words[(g, length)] = word - words[(g, length - 2)] if length > 2 else word
-    return words
-
-
 @lru_cache(maxsize=None)
 def structure_constants(n: int):
     """The multiplication tensor of the level-n quotient algebra on the basis
@@ -284,18 +293,17 @@ def based_algebra_of(n: int) -> BasedAlgebra:
 def based_module_of(rep: DihedralRep) -> BasedModule:
     """The based module on Z^(rows+cols) given by the block action of rep.
 
-    The action of each alternating word comes from the two generator block
-    matrices by the word ladder (_word_ladder); theta_word_matrix gives the
-    same matrices by the closed form.  The module law holds by construction:
-    theta_g^2 = 2 theta_g, the ladder is the law on a generator row, rep
-    satisfies f_n(G) = 0, which gives the fold, and generator rows imply
-    the rest (BasedAlgebra.generators).  Only non-negativity depends on the
-    input: a ValueError names the first basis element whose action has a
+    The actions of the alternating words of lengths 1..n-1 are read off
+    rep.words, the ladder that checked rep's level; theta_word_matrix gives
+    the same matrices by the closed form.  The module law holds by
+    construction: theta_g^2 = 2 theta_g, the ladder is the law on a generator
+    row, rep satisfies f_n(G) = 0, which gives the fold, and generator rows
+    imply the rest (BasedAlgebra.generators).  Only non-negativity depends on
+    the input: a ValueError names the first basis element whose action has a
     negative entry, for example at a level above the matrix's own."""
     algebra = based_algebra_of(rep.n)
-    words = _word_ladder(*theta_generator_matrices(rep.b), rep.n - 1)
     actions = [IntMatrix.identity(rep.dimension)]
-    actions += [words[(int(lab[0]), len(lab))] for lab in algebra.labels[1:]]
+    actions += [rep.words[(int(lab[0]), len(lab))] for lab in algebra.labels[1:]]
     for label, m in zip(algebra.labels, actions):
         if min(map(min, m.rows)) < 0:
             raise ValueError(f"negative entry in the action matrix of {label}")

@@ -278,38 +278,47 @@ def _primitive_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 # --- the Fibonacci-like family -------------------------------------------------
 
 
-def _three_term(i: int, shift_odd: bool, combine) -> IntPolynomial:
+def _three_term(i: int, shift_odd: bool, combine, known: dict) -> IntPolynomial:
     """Term i of h_0 = 0, h_1 = 1, h_k = combine(x^s h_(k-1), h_(k-2)), where
-    s = 1 at even k and at odd k too if shift_odd, else 0.  Runs on int
-    coefficient lists, where multiplying by x is a shift, with two live terms."""
+    s = 1 at even k and at odd k too if shift_odd, else 0, memoized in known:
+    one step from h_(i-2), h_(i-1) when both are known, else a run from h_0,
+    h_1 with two live terms, on coefficient lists (x times is a shift)."""
     if i < 0:
         raise ValueError("index must be non-negative")
-    prev, cur = [], [1]
-    for k in range(2, i + 1):
-        head = [0, *cur] if shift_odd or k % 2 == 0 else cur
-        # degrees never fall, so prev is no longer than head
-        prev, cur = cur, [*map(combine, head, prev), *head[len(prev):]]
-    return IntPolynomial(cur if i else prev)
+    if i not in known:
+        start, prev, cur = 1, [], [1]
+        if i - 2 in known and i - 1 in known:
+            start, prev, cur = i - 1, known[i - 2].coeffs, known[i - 1].coeffs
+        for k in range(start + 1, i + 1):
+            head = [0, *cur] if shift_odd or k % 2 == 0 else cur
+            # degrees never fall, so prev is no longer than head
+            prev, cur = cur, [*map(combine, head, prev), *head[len(prev):]]
+        known[i] = IntPolynomial(cur if i else prev)
+    return known[i]
 
 
-@functools.lru_cache(maxsize=None)
+_F_TERMS, _G_TERMS = {}, {}  # the terms of fib_f and fib_g asked for so far
+
+
 def fib_f(i: int) -> IntPolynomial:
     """The i-th polynomial of the alternating family.
 
     >>> [str(fib_f(i)) for i in range(6)]
     ['0', '1', 'x', 'x - 1', 'x^2 - 2x', 'x^2 - 3x + 1']
     """
-    return _three_term(i, False, operator.sub)
+    return _three_term(i, False, operator.sub, _F_TERMS)
 
 
-@functools.lru_cache(maxsize=None)
 def fib_g(i: int) -> IntPolynomial:
     """The i-th Fibonacci polynomial: g_0 = 0, g_1 = 1, g_i = x*g_{i-1} + g_{i-2}.
 
     >>> str(fib_g(4))
     'x^3 + 2x'
     """
-    return _three_term(i, True, operator.add)
+    return _three_term(i, True, operator.add, _G_TERMS)
+
+
+fib_f.cache_clear, fib_g.cache_clear = _F_TERMS.clear, _G_TERMS.clear
 
 
 def _at_minus_x_squared(p: IntPolynomial) -> IntPolynomial:

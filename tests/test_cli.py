@@ -597,6 +597,13 @@ class TestApex:
         assert (code, out) == (1, "")
         assert err == "error: apex --n 10: the matrix's level is 5, not 10\n"
 
+    def test_level_the_matrix_does_not_present_is_refused(self, capsys):
+        # [[1,1],[0,1]] presents level 5 and 10; at 7 its words of length 7
+        # on the ladder are not zero
+        code, out, err = run_cli(capsys, "apex", "--n", "7", "--matrix", "[[1,1],[0,1]]")
+        assert (code, out) == (1, "")
+        assert err == "error: matrix does not present this level\n"
+
     def test_negative_action_names_the_basis_element(self, capsys):
         # the words 121 and 212 act on the module of [[0]] by -2
         code, out, err = run_cli(capsys, "apex", "--matrix", "[[0]]")

@@ -166,6 +166,39 @@ class TestRep:
         rep12 = DihedralRep(12, make_staircase(2, 3))
         assert recover_n(rep12.b, bound=rep12.n) == 6
 
+    def test_level_check_is_the_annihilation_test(self):
+        # DihedralRep checks its level on the word ladder it keeps.  On a
+        # seeded sample of 0-1 and 0-2 matrices at levels 3-24 it accepts
+        # exactly where annihilation_test holds, and every kept word is the
+        # closed form.
+        rng, seen, outcomes = random.Random(40), set(), {"accepted": 0, "refused": 0}
+        while len(seen) < 60:
+            r, c, top = rng.randint(1, 4), rng.randint(1, 4), rng.choice((1, 1, 2))
+            rows = tuple(tuple(rng.randint(0, top) for _ in range(c)) for _ in range(r))
+            if rows in seen:
+                continue
+            seen.add(rows)
+            b = IntMatrix(rows)
+            for n in range(3, 25):
+                try:
+                    rep = DihedralRep(n, b)
+                except ValueError as error:
+                    assert str(error) == "matrix does not present this level"
+                    assert not annihilation_test(b, n), (rows, n)
+                    outcomes["refused"] += 1
+                    continue
+                assert annihilation_test(b, n), (rows, n)
+                outcomes["accepted"] += 1
+                for length in range(1, n + 1):
+                    for first in (1, 2):
+                        want = theta_word_matrix(b, length, first)
+                        assert rep.words[(first, length)] == want, (rows, n, length)
+        assert outcomes == {"accepted": 149, "refused": 1171}
+
+    def test_levels_below_3_are_refused(self):
+        with pytest.raises(ValueError, match="^level must be at least 3$"):
+            DihedralRep(2, make_staircase(2, 3))
+
     def test_theta_access(self):
         rep = DihedralRep(6, make_staircase(2, 3))
         t1, t2 = theta_generator_matrices(rep.b)
@@ -264,8 +297,7 @@ class TestWordLadder:
         )
         top = data.draw(st.integers(1, 14))
         b = IntMatrix.from_rows(rows)
-        theta_1, theta_2 = theta_generator_matrices(b)
-        words = dihedral_module._word_ladder(theta_1, theta_2, top)
+        words = dihedral_module._word_ladder(b, top)
         for length in range(1, top + 1):
             for first in (1, 2):
                 want = theta_word_matrix(b, length, first)

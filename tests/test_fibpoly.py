@@ -141,6 +141,17 @@ class TestFamily:
         for i in range(1, 40):
             assert check_fg_relation(i), i
 
+    def test_one_step_and_cold_builds_agree(self):
+        # a term whose two predecessors are kept takes one step from them;
+        # any other is built from index 0.  Descending indices are all cold.
+        for family in (fib_f, fib_g):
+            family.cache_clear()
+            cold = [family(i) for i in range(80, -1, -1)][::-1]
+            family.cache_clear()
+            assert [family(i) for i in range(81)] == cold
+        with pytest.raises(ValueError, match="^index must be non-negative$"):
+            fib_f(-1)
+
     def test_families_match_the_product_recurrences(self):
         fib_f.cache_clear()
         fib_g.cache_clear()
