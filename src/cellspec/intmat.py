@@ -147,7 +147,7 @@ class IntMatrix(Value):
         return self.is_square() and self == self.transpose()
 
     def is_zero(self) -> bool:
-        return all(c == 0 for row in self.rows for c in row)
+        return not any(map(any, self.rows))
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.rows]
