@@ -88,7 +88,8 @@ class BasedAlgebra(Value):
     def validate(self) -> None:
         """Check the identity index, the tensor shape, non-negativity, the
         identity laws and associativity, raising ValueError at the first
-        failure.  All but the first two read the nonzero constants only.
+        failure.  Non-negativity and associativity read the nonzero
+        constants only; the identity laws scan gamma[e] and each gamma[j][e].
         Associativity compares L_i L_j with sum_k gamma[i][j][k] L_k for
         the left multiplication matrices L_i[k][j] = gamma[i][j][k],
         exactly, for the rows i in generators (see _check_law)."""
@@ -115,15 +116,12 @@ class BasedAlgebra(Value):
         if any(c < 0 for plane in nonzeros for row in plane for _, c in row):
             raise ValueError("negative structure constant")
         e = self.identity
-        for j in range(n):
-            unit = ((j, 1),)
-            if nonzeros[e][j] != unit or nonzeros[j][e] != unit:
-                # name the side that fails first in the dense order of k
-                for k in range(n):
-                    if self.gamma[e][j][k] != int(j == k):
-                        raise ValueError("identity fails on the left")
-                    if self.gamma[j][e][k] != int(j == k):
-                        raise ValueError("identity fails on the right")
+        for j in range(n):  # the first failure in the dense order of (j, k)
+            for k in range(n):
+                if self.gamma[e][j][k] != int(j == k):
+                    raise ValueError("identity fails on the left")
+                if self.gamma[j][e][k] != int(j == k):
+                    raise ValueError("identity fails on the right")
         lefts = [[[] for _ in range(n)] for _ in range(n)]
         for i, plane in enumerate(nonzeros):
             for j, row in enumerate(plane):

@@ -63,11 +63,17 @@ def _check_json_ints(data, what: str, depth: int) -> None:
 
 
 def _parse_json(text: str, what: str):
-    """json.loads, with nesting too deep for the parser refused by name."""
+    """json.loads, with input the parser refuses named: malformed JSON,
+    nesting too deep, or an integer past the interpreter's digit limit."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{what} is nested too deeply to parse") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ValueError(f"{what} holds an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def _matrix_from_text(text: str, what: str) -> IntMatrix:
@@ -245,17 +251,16 @@ def _cmd_enumerate_b(args):
 
 
 def _cmd_dihedral_table(args):
-    labels, gamma = structure_constants(args.n)
-    results = {"labels": list(labels), "gamma": [
-        [list(row) for row in plane] for plane in gamma
-    ]}
+    labels, gamma = structure_constants(args.n)  # tuples dump as JSON arrays
+    results = {"labels": labels, "gamma": gamma}
     yield {"n": args.n}, results, [f"dihedral-algebra:level-{args.n}"]
     yield f"basis of the level-{args.n} algebra: {', '.join(labels)}"
+    # every product is nonzero: its shortest word survives the fold
     for left, plane in zip(labels, gamma):
         for right, row in zip(labels, plane):
             text = " + ".join(
                 lab if c == 1 else f"{c}*{lab}" for c, lab in zip(row, labels) if c
-            ) or "0"
+            )
             yield f"{left} * {right} = {text}"
 
 

@@ -231,7 +231,6 @@ def _basis_labels(n: int) -> list[str]:
     return ["e"] + [_word(first, length) for length in range(1, n) for first in (1, 2)]
 
 
-@lru_cache(maxsize=None)
 def structure_constants(n: int):
     """The multiplication tensor of the level-n quotient algebra on the basis
     e, alternating words of lengths 1..n-1 (two per length).

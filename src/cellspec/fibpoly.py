@@ -176,9 +176,6 @@ class IntPolynomial(Value):
                 rem[j + k - d] -= q * c
         return IntPolynomial(quo), IntPolynomial(rem)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
     def __mod__(self, other):
         return divmod(self, other)[1]
 

@@ -297,15 +297,14 @@ def is_irreducible_nonneg(m: IntMatrix) -> bool:
 
 def spectrum_in_range(m: IntMatrix, lo, hi) -> bool:
     """Exact test that every eigenvalue of the symmetric matrix m lies in
-    [lo, hi).  lo and hi may be ints or Fractions.
+    [lo, hi).  lo and hi may be ints or Fractions.  The empty spectrum of a
+    0 x 0 matrix (only the raw constructor makes one) lies in every range.
     """
     if not m.is_symmetric():
         raise ValueError("matrix is not symmetric")
     # The characteristic polynomial has the roots of the minimal one, and the
     # Sturm chain is built from their common squarefree part.
     p = charpoly(m)
-    if p.degree <= 0:
-        raise ValueError("degenerate minimal polynomial")
     lo = Fraction(lo)
     hi = Fraction(hi)
     # roots strictly below lo: count in (-inf, lo] minus a root exactly at lo

@@ -9,8 +9,12 @@ pytest.  The expected lines of a module are the co_lines() of every code
 object compiled from its source, the module body included, so it must be
 imported under the tracer: nothing here imports cellspec first.  Code run
 only in a subprocess (the CLI tests that spawn an interpreter) reads as
-unrun.  Tracing makes the suite several times slower.  The exit status is
-pytest's.
+unrun.  Tracing makes the suite several times slower.
+
+It is a gate: an unrun line passes only if ALLOWED names it, by file and
+stripped text, with the reason it cannot run.  The exit status is 1 when
+pytest fails, when any other line is unrun, or when an ALLOWED entry
+matches no unrun line (the line ran, changed or went); else 0.
 """
 
 from __future__ import annotations
@@ -23,6 +27,27 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "cellspec"
+
+# (file name, stripped line text) -> why the line may stay unrun
+ALLOWED = {
+    ("dihedral.py", 'raise AssertionError("negative structure constant")'):
+        "theorem check: the fold of the product rule is never negative",
+    ("staircase.py", "raise RuntimeError("):
+        "theorem check: every connected 0-1 matrix with Gram spectrum in [0, 4) "
+        "has a class",
+    ("staircase.py",
+     '"matrix passes all spectral tests but matches no known class; "'):
+        "the same theorem check's message",
+    ("cli.py", "except BrokenPipeError:  # the reader closed stdout: "
+               "exit as SIGPIPE would"):
+        "runs only when a reader closes stdout, tested on a spawned interpreter",
+    ("cli.py", "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())"):
+        "the closed-stdout handler, tested on a spawned interpreter",
+    ("cli.py", "return 141"):
+        "the closed-stdout handler's exit status, tested on a spawned interpreter",
+    ("cli.py", "sys.exit(main())"):
+        "runs only under python -m cellspec.cli, tested on a spawned interpreter",
+}
 
 
 def expected_lines(path: Path) -> set[int]:
@@ -84,14 +109,28 @@ def spans(lines: list[int]) -> str:
 
 def main() -> int:
     status, hit = collect(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
-    total = 0
+    total, unexpected, matched = 0, 0, set()
     for path in sorted(PACKAGE.glob("*.py")):
         unrun = sorted(expected_lines(path) - hit.get(os.path.realpath(path), set()))
         total += len(unrun)
         if unrun:
             print(f"{path.relative_to(ROOT)}: {len(unrun)} unrun: {spans(unrun)}")
-    print(f"unrun lines in src/cellspec: {total}")
-    return status
+        text = path.read_text(encoding="utf-8").splitlines()
+        for line in unrun:
+            key = (path.name, text[line - 1].strip())
+            if key in ALLOWED:
+                matched.add(key)
+                print(f"  {line}: allowed, {ALLOWED[key]}")
+            else:
+                unexpected += 1
+                print(f"  {line}: NOT ALLOWED: {key[1]}")
+    stale = [key for key in ALLOWED if key not in matched]
+    for name, line in stale:
+        print(f"allow-list entry matches no unrun line: {name}: {line}")
+    print(f"unrun lines in src/cellspec: {total} ({unexpected} not allowed)")
+    if status != 0:
+        print(f"pytest exited with status {status}")
+    return 1 if status or unexpected or stale else 0
 
 
 if __name__ == "__main__":
