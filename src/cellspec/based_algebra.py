@@ -17,6 +17,7 @@ two-sided cell that does not act by zero.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import compress
 
 from ._value import Value
 from .intmat import IntMatrix, _int_rows, is_irreducible_nonneg, reachable
@@ -162,49 +163,49 @@ class BasedAlgebra(Value):
             gens.append(min(set(range(n)) - covered))
             pending = [times(gens[-1], support) for support in kept]
 
-    @cached_property
-    def two_sided_cells(self) -> "CellPartition":
-        """cells("two_sided"), computed once per algebra."""
-        return self.cells("two_sided")
-
     # --- cells -------------------------------------------------------------
 
-    def _one_step(self, side: str) -> list[set[int]]:
-        """succ[j] = basis elements reachable from j in one multiplication
-        step on the given side, read off the column supports of gamma."""
-        gamma = self.gamma
-
-        def support(rows) -> set[int]:
-            return {k for k, hit in enumerate(map(any, zip(*rows))) if hit}
-
-        if side == "left":  # a_k in a_i a_j lies above a_j
-            return [support(plane[j] for plane in gamma) for j in range(len(gamma))]
-        succ = [support(plane) for plane in gamma]  # and above a_i
-        if side == "two_sided":
-            for j, step in enumerate(succ):
-                step |= support(plane[j] for plane in gamma)
-        return succ
+    @cached_property
+    def _partitions(self) -> dict[str, "CellPartition"]:
+        """Every side's partition from one pass over the rows of gamma: a_k in
+        a_i a_j is above a_j on the left, a_i on the right and both two-sided."""
+        basis = range(len(self.gamma))
+        left, right = [set() for _ in basis], [set() for _ in basis]
+        for above_i, plane in zip(right, self.gamma):
+            for above_j, row in zip(left, plane):
+                hits = [*compress(basis, row)]  # the k with a_k in a_i a_j
+                above_j.update(hits)
+                above_i.update(hits)
+        partitions = {"left": _cell_partition("left", left),
+                      "right": _cell_partition("right", right)}
+        for step, more in zip(left, right):  # the union in place: two lists stay alive
+            step |= more
+        partitions["two_sided"] = _cell_partition("two_sided", left)
+        return partitions
 
     def cells(self, side: str) -> "CellPartition":
-        """The cell partition on the given side: "left", "right" or
-        "two_sided".  Each element not yet placed starts a cell: what both
-        its forward walk and its backward walk (over predecessors) reach.
-        The forward reach of each cell's first element gives the order."""
+        """The cell partition on one side: "left", "right" or "two_sided"."""
         if side not in ("left", "right", "two_sided"):
             raise ValueError("side must be 'left', 'right' or 'two_sided'")
-        succ = self._one_step(side)
-        pred = [[j for j, step in enumerate(succ) if k in step] for k in range(len(succ))]
-        assigned = [None] * len(succ)
-        cells: list[tuple[int, ...]] = []
-        above: list[set[int]] = []  # the forward reach of each cell
-        for j, placed in enumerate(assigned):
-            if placed is None:
-                above.append(set(reachable(succ, j)))
-                cells.append(tuple(sorted(above[-1].intersection(reachable(pred, j)))))
-                for k in cells[-1]:
-                    assigned[k] = len(cells) - 1
-        leq = tuple(tuple(cell[0] in reach for cell in cells) for reach in above)
-        return CellPartition(side, tuple(cells), tuple(assigned), leq)
+        return self._partitions[side]
+
+
+def _cell_partition(side: str, succ: list[set[int]]) -> "CellPartition":
+    """The strong components of the one-step relation succ, in order.  Each
+    element not yet placed starts a cell: what both its forward walk and its
+    backward walk (over predecessors) reach.  The forward reach of each
+    cell's first element gives the order."""
+    pred = [[j for j, step in enumerate(succ) if k in step] for k in range(len(succ))]
+    assigned = [None] * len(succ)
+    cells, above = [], []  # above[a]: the forward reach of cell a
+    for j, placed in enumerate(assigned):
+        if placed is None:
+            above.append(set(reachable(succ, j)))
+            cells.append(tuple(sorted(above[-1].intersection(reachable(pred, j)))))
+            for k in cells[-1]:
+                assigned[k] = len(cells) - 1
+    leq = tuple(tuple(cell[0] in reach for cell in cells) for reach in above)
+    return CellPartition(side, tuple(cells), tuple(assigned), leq)
 
 
 class CellPartition(Value):
@@ -286,12 +287,9 @@ class BasedModule(Value):
     def apex(self) -> tuple[int, ...]:
         """The unique maximal two-sided cell acting by nonzero matrices,
         as a tuple of basis indices.  Raises when no unique maximum exists."""
-        partition = self.algebra.two_sided_cells
-        alive = {
-            partition.cell_of[i]
-            for i, m in enumerate(self.actions)
-            if not m.is_zero()
-        }
+        partition = self.algebra.cells("two_sided")
+        dead = set(self.annihilated())
+        alive = {cell for i, cell in enumerate(partition.cell_of) if i not in dead}
         maximal = partition.maximal_among(alive)
         if len(maximal) != 1:
             raise ValueError("no unique maximal non-annihilating cell")

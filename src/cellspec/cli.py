@@ -160,16 +160,19 @@ def _cmd_fibpoly(args):
 
 def _cmd_matspec(args):
     m = _load_matrix(args)
-    results: dict = {"matrix": _matrix_json(m)}
+    polys = {}
     if m.is_square():
-        p = charpoly(m)
-        results["charpoly"] = _poly_json(p)
+        p = polys["charpoly"] = charpoly(m)
         if m.is_symmetric():
-            results["minpoly"] = _poly_json(squarefree_part(p))
-    left = minpoly_symmetric(gram(m, "left"))
-    right = minpoly_symmetric(gram(m, "right"))
-    results["gram_left_minpoly"] = _poly_json(left)
-    results["gram_right_minpoly"] = _poly_json(right)
+            polys["minpoly"] = squarefree_part(p)
+    left = polys["gram_left_minpoly"] = minpoly_symmetric(gram(m, "left"))
+    right = polys["gram_right_minpoly"] = minpoly_symmetric(gram(m, "right"))
+    try:  # str() refuses an int past the interpreter's digit limit
+        results = {key: _poly_json(p) for key, p in polys.items()}
+    except ValueError:
+        raise ValueError(f"matspec: an output number has more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
+    results["matrix"] = _matrix_json(m)
     results["gram_spectrum_below_4"] = gram_spectrum_below_4(m)
     try:
         results["dihedral_level"] = _level_of_minpolys(left, right)
@@ -369,10 +372,8 @@ def _cmd_cells_of_algebra(args):
         )
         source = {"gamma_file": args.gamma_file}
     results = {
-        side: [[algebra.labels[i] for i in cell] for cell in partition.cells]
-        for side, partition in (("left", algebra.cells("left")),
-                                ("right", algebra.cells("right")),
-                                ("two_sided", algebra.two_sided_cells))
+        side: [[algebra.labels[i] for i in cell] for cell in algebra.cells(side).cells]
+        for side in ("left", "right", "two_sided")
     }
     yield source, results, ["cell-partition"]
     for side, cells in results.items():

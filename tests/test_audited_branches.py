@@ -167,6 +167,16 @@ class TestCliEdges:
         code, out, err = run_cli(capsys, "oracle-under4", *args)
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_output_number_past_the_digit_limit(self, capsys, json_flag):
+        # the entry parses; its square, in the Gram minimal polynomial, has
+        # 6,000 digits, past the interpreter's limit for int to str
+        limit = sys.get_int_max_str_digits()  # 4300 unless the interpreter is told
+        matrix = f"[[{'7' * 3000}]]"
+        code, out, err = run_cli(capsys, "matspec", "--matrix", matrix, *json_flag)
+        message = f"error: matspec: an output number has more than {limit} digits\n"
+        assert (code, out, err) == (1, "", message)
+
     def test_words_of_rank_10_are_lists(self, capsys):
         results = run_json(capsys, "cells", "A10", "--max-length", "1")["results"]
         assert results["elements"] == [[g] for g in range(1, 11)]

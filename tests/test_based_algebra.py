@@ -1,4 +1,5 @@
 import doctest
+import itertools
 
 import numpy as np
 import pytest
@@ -134,10 +135,24 @@ class TestGenerators:
                 BasedAlgebra.make(labels, perturbed, identity=0)
             assert str(excinfo.value) == expected
 
-    def test_two_sided_cells_are_computed_once(self):
-        algebra = based_algebra_of(7)
-        assert algebra.two_sided_cells is algebra.two_sided_cells
-        assert algebra.two_sided_cells == algebra.cells("two_sided")
+    def test_two_sided_cells_are_computed_once(self, monkeypatch):
+        # the first cells call builds all three partitions from one read of
+        # the tensor, whichever sides are asked for and in any order
+        original, builds = based_algebra_module._cell_partition, []
+
+        def counting(side, succ):
+            builds.append(side)
+            return original(side, succ)
+
+        monkeypatch.setattr(based_algebra_module, "_cell_partition", counting)
+        labels, gamma = structure_constants(7)
+        sides = ("left", "right", "two_sided")
+        for order in [*itertools.permutations(sides), *((side,) for side in sides)]:
+            algebra = BasedAlgebra(labels, gamma, 0)
+            builds.clear()
+            for side in order:
+                assert algebra.cells(side) is algebra.cells(side)
+            assert builds == list(sides), order
 
 
 def closed_form_actions(n, b):

@@ -7,6 +7,7 @@ message on stderr; usage errors exit with code 2 via argparse; a closed
 stdout exits with code 141 and nothing on stderr.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -501,6 +502,15 @@ class TestQuiver:
 
 
 class TestCellsOfAlgebra:
+    # sha256 of `cells-of-algebra --dihedral-n 60 --json` (stdout with its
+    # newline), recorded when each side's cells were read from the tensor apart
+    LEVEL_60_SHA256 = "7910e3fc531b3a15eac8eed223e89a85d84b47d067cffc5a2fbe5f336307e724"
+
+    def test_level_60_report_is_unchanged(self, capsys):
+        code, out, err = run_cli(capsys, "cells-of-algebra", "--dihedral-n", "60", "--json")
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == self.LEVEL_60_SHA256
+
     def test_dihedral_level(self, capsys):
         report = run_json(capsys, "cells-of-algebra", "--dihedral-n", "5")
         results = report["results"]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cellspec import cli
+from cellspec import based_algebra, cli
 from cellspec.based_algebra import BasedAlgebra, BasedModule
 from cellspec.dihedral import (
     based_algebra_of,
@@ -153,22 +153,27 @@ class TestCellsAgainstTarjan:
             partition = algebra.cells(side)
             assert partition.cells == cells
             assert partition.leq == leq
-        assert algebra.two_sided_cells == algebra.cells("two_sided")
+        assert all(algebra.cells(side) is algebra.cells(side)
+                   for side in ("left", "right", "two_sided"))
 
     def test_cells_of_algebra_reuses_the_two_sided_partition(self, monkeypatch, capsys):
-        based_algebra_of(6).two_sided_cells
-        sides = []
-        original = BasedAlgebra.cells
+        # apex keeps the level's three partitions; cells-of-algebra builds none
+        assert cli.main(["apex", "--n", "6", "--matrix", "[[1,1,1]]"]) == 0
+        capsys.readouterr()
+        original, builds = based_algebra._cell_partition, []
 
-        def counting(self, side):
-            sides.append(side)
-            return original(self, side)
+        def counting(side, succ):
+            builds.append(side)
+            return original(side, succ)
 
-        monkeypatch.setattr(BasedAlgebra, "cells", counting)
+        monkeypatch.setattr(based_algebra, "_cell_partition", counting)
         assert cli.main(["cells-of-algebra", "--dihedral-n", "6", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert sides == ["left", "right"]
+        assert builds == []
         assert len(report["results"]["two_sided"]) == 2
+        # the same level built afresh reads its tensor for all three sides
+        BasedAlgebra(*structure_constants(6), 0).cells("left")
+        assert builds == ["left", "right", "two_sided"]
 
 
 class TestEntryRule:

@@ -1,6 +1,8 @@
 """The Sturm chain from one remainder sequence, against the reference that
 first takes the squarefree part by a gcd and then builds its chain."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,17 +11,22 @@ import cellspec.fibpoly as fibpoly_module
 from cellspec.fibpoly import IntPolynomial, fib_irreducible_factor, sturm_chain
 from oracles import sturm_chain_by_squarefree_part
 
-factor = st.lists(st.integers(-4, 4), min_size=1, max_size=4).filter(any)
+# every nonzero polynomial of degree at most 3 with coefficients in -4..4,
+# drawn in one step rather than coefficient by coefficient
+factor = st.sampled_from(
+    [coeffs for coeffs in itertools.product(range(-4, 5), repeat=4) if any(coeffs)]
+)
 
 
 @st.composite
 def with_repeated_factors(draw):
-    """A product of up to three small integer polynomials, each to a power
+    """A product of one to three small integer polynomials, each to a power
     of at most 3, so that repeated roots are common."""
     p = IntPolynomial.one()
-    for coeffs in draw(st.lists(factor, min_size=1, max_size=3)):
+    for _ in range(draw(st.integers(1, 3))):
+        f = IntPolynomial(draw(factor))
         for _ in range(draw(st.integers(1, 3))):
-            p = p * IntPolynomial(coeffs)
+            p = p * f
     return p
 
 
