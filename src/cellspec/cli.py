@@ -168,7 +168,7 @@ def _cmd_matspec(args):
     left = polys["gram_left_minpoly"] = minpoly_symmetric(gram(m, "left"))
     right = polys["gram_right_minpoly"] = minpoly_symmetric(gram(m, "right"))
     try:  # str() refuses an int past the interpreter's digit limit
-        results = {key: _poly_json(p) for key, p in polys.items()}
+        results = {key: _poly_json(poly) for key, poly in polys.items()}
     except ValueError:
         raise ValueError(f"matspec: an output number has more than "
                          f"{sys.get_int_max_str_digits()} digits") from None

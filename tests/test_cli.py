@@ -503,7 +503,7 @@ class TestQuiver:
 
 class TestCellsOfAlgebra:
     # sha256 of `cells-of-algebra --dihedral-n 60 --json` (stdout with its
-    # newline), recorded when each side's cells were read from the tensor apart
+    # newline), recorded before the three partitions shared one tensor pass
     LEVEL_60_SHA256 = "7910e3fc531b3a15eac8eed223e89a85d84b47d067cffc5a2fbe5f336307e724"
 
     def test_level_60_report_is_unchanged(self, capsys):
